@@ -92,21 +92,17 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-class Param:
+class Param(Tensor):
     """A named leaf tensor whose grad survives across forward passes."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, values):
+        super().__init__(values)
         self.name = name
-        self.value = Tensor(values)
-
-    @property
-    def grad(self):
-        return self.value.grad
 
     def __repr__(self):
-        return f"Param({self.name!r}, shape={self.value.shape})"
+        return f"Param({self.name!r}, shape={self.shape})"
 
 
 def constant(values) -> Tensor:
@@ -116,7 +112,7 @@ def constant(values) -> Tensor:
 
 def zero_grads(params) -> None:
     for p in params:
-        p.value.grad[...] = 0.0
+        p.grad[...] = 0.0
 
 
 def _require_finite(t: Tensor, op: str) -> None:
@@ -363,7 +359,7 @@ def finite_diff_grad(loss_fn, param: Param, step: float = 1e-5) -> np.ndarray:
         raise ValueError(f"finite_diff_grad: step must be positive, got {step}")
     if loss_fn() != loss_fn():
         raise OracleError("finite_diff_grad: loss function is not deterministic")
-    flat = param.value.data.reshape(-1)
+    flat = param.data.reshape(-1)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
@@ -373,7 +369,7 @@ def finite_diff_grad(loss_fn, param: Param, step: float = 1e-5) -> np.ndarray:
         f_minus = loss_fn()
         flat[i] = orig
         grad[i] = (f_plus - f_minus) / (2.0 * step)
-    return grad.reshape(param.value.shape)
+    return grad.reshape(param.shape)
 
 
 def gradient_check(build_loss, params, step: float = 1e-5) -> dict:
@@ -386,7 +382,7 @@ def gradient_check(build_loss, params, step: float = 1e-5) -> dict:
     zero_grads(params)
     loss = build_loss()
     loss.backward()
-    analytic = {p.name: p.value.grad.copy() for p in params}
+    analytic = {p.name: p.grad.copy() for p in params}
 
     def scalar_loss():
         return float(build_loss().data)

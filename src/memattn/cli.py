@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -42,45 +43,46 @@ def _load_config_file(path):
         return json.load(f)
 
 
-def _model_config(manifest, cfg_block, args) -> mdl.ModelConfig:
-    cfg = mdl.ModelConfig(
-        w=manifest.w, h=manifest.h, d=manifest.d,
-        b=32, fm_hidden=32, dropout_rate=0.0, dropout_z=0.0,
-    )
-    for key, value in cfg_block.items():
-        if not hasattr(cfg, key):
-            raise CliError(f"unknown model config field {key!r}")
+def _config(cfg, section, block, **overrides):
+    """cfg with a config-file section applied, then the non-None overrides."""
+    fields = typing.get_type_hints(type(cfg))
+    for key, value in block.items():
+        if key not in fields:
+            raise CliError(f"unknown {section} config field {key!r}")
+        # a float field also takes a JSON integer; int and bool take only themselves
+        if type(value) not in ((int, float) if fields[key] is float else (fields[key],)):
+            raise CliError(f"{section} config field {key!r} must be "
+                           f"{fields[key].__name__}, got {value!r}")
         setattr(cfg, key, value)
-    # manifest dims always win: features on disk fix the input contract
-    cfg.w, cfg.h, cfg.d = manifest.w, manifest.h, manifest.d
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "no_attention", False):
-        cfg.attention_enabled = False
-    cfg.validate()
+    for key, value in overrides.items():
+        if value is not None:
+            setattr(cfg, key, value)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise CliError(f"{section} config: {exc}") from None
     return cfg
 
 
-def _train_config(cfg_block, args) -> trn.TrainConfig:
-    cfg = trn.TrainConfig()
-    for key, value in cfg_block.items():
-        if not hasattr(cfg, key):
-            raise CliError(f"unknown train config field {key!r}")
-        setattr(cfg, key, value)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
-    return cfg
+def _load_manifest(path, config=None):
+    """(manifest, its directory); with a checkpoint's config the grids must agree."""
+    manifest = dat.load_manifest(path)
+    if config is not None:
+        grid, expected = (f"{c.w}x{c.h}x{c.d}" for c in (manifest, config))
+        if grid != expected:
+            raise CliError(f"{path}: manifest grid {grid} does not match checkpoint "
+                           f"grid {expected}", EXIT_IO)
+    return manifest, os.path.dirname(os.path.abspath(path))
 
 
-def _load_sets(manifest_path, splits):
-    manifest = dat.load_manifest(manifest_path)
-    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
-    out = []
-    for split in splits:
-        records = dat.load_split(manifest, manifest_dir, split)
-        out.append(records)
-    return manifest, out
+def _load_by_id(manifest_path, config, ids):
+    """Feature records for ids, in order; an unknown id is an IO error."""
+    manifest, manifest_dir = _load_manifest(manifest_path, config)
+    by_id = {r.id: r for r in manifest.records}
+    for sample_id in ids:
+        if sample_id not in by_id:
+            raise CliError(f"unknown id {sample_id!r}", EXIT_IO)
+    return [dat.load_record(manifest, manifest_dir, by_id[i]) for i in ids]
 
 
 def _load_checkpoint(path):
@@ -92,11 +94,19 @@ def _load_checkpoint(path):
 
 def cmd_train(args) -> int:
     config_file = _load_config_file(args.config)
-    manifest, (train_set, val_set) = _load_sets(args.manifest, ("train", "val"))
+    manifest, manifest_dir = _load_manifest(args.manifest)
+    train_set = dat.load_split(manifest, manifest_dir, "train")
+    val_set = dat.load_split(manifest, manifest_dir, "val")
     if not train_set or not val_set:
         raise CliError("manifest needs non-empty train and val splits")
-    model_cfg = _model_config(manifest, config_file.get("model", {}), args)
-    train_cfg = _train_config(config_file.get("train", {}), args)
+    model_cfg = _config(
+        mdl.ModelConfig(b=32, fm_hidden=32, dropout_rate=0.0, dropout_z=0.0),
+        "model", config_file.get("model", {}),
+        # manifest dims always win: features on disk fix the input contract
+        w=manifest.w, h=manifest.h, d=manifest.d, seed=args.seed,
+        attention_enabled=False if args.no_attention else None,
+    )
+    train_cfg = _config(trn.TrainConfig(), "train", config_file.get("train", {}), seed=args.seed)
 
     result = trn.fit(train_set, val_set, model_cfg, train_cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -116,7 +126,8 @@ def cmd_train(args) -> int:
 
 
 def _eval_manifest(params, norm, manifest_path, split):
-    manifest, (records,) = _load_sets(manifest_path, (split,))
+    manifest, manifest_dir = _load_manifest(manifest_path, params.config)
+    records = dat.load_split(manifest, manifest_dir, split)
     if not records:
         raise CliError(f"{manifest_path}: split {split!r} is empty")
     rho, mse = trn.evaluate(params, norm, records)
@@ -142,22 +153,15 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params, norm = _load_checkpoint(args.checkpoint)
-    manifest = dat.load_manifest(args.manifest)
-    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
-    by_id = {r.id: r for r in manifest.records}
     t_steps = params.config.t
-    for sample_id in args.ids:
-        if sample_id not in by_id:
-            raise CliError(f"unknown id {sample_id!r}", EXIT_IO)
-        record = by_id[sample_id]
-        _, _, _, features = dat.load_feature_file(os.path.join(manifest_dir, record.path))
-        y, trace = trn.predict(params, norm, features)
+    for record in _load_by_id(args.manifest, params.config, args.ids):
+        y, trace = trn.predict(params, norm, record.features)
         # per-step contributions that sum to the unclamped denormalized y
         contributions = [
             norm.half_range * m + norm.mean / t_steps for m in trace.m_values()
         ]
         parts = " ".join(f"{c:.10f}" for c in contributions)
-        print(f"{sample_id} {y:.10f} {parts}")
+        print(f"{record.id} {y:.10f} {parts}")
     return EXIT_OK
 
 
@@ -175,15 +179,8 @@ def heatmap_bytes(alpha: np.ndarray, grid_h: int, grid_w: int, size: int = 224) 
 
 def cmd_attmap(args) -> int:
     params, norm = _load_checkpoint(args.checkpoint)
-    manifest = dat.load_manifest(args.manifest)
-    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
-    by_id = {r.id: r for r in manifest.records}
-    if args.id not in by_id:
-        raise CliError(f"unknown id {args.id!r}", EXIT_IO)
-    _, _, _, features = dat.load_feature_file(
-        os.path.join(manifest_dir, by_id[args.id].path)
-    )
-    y, trace = trn.predict(params, norm, features)
+    (record,) = _load_by_id(args.manifest, params.config, [args.id])
+    y, trace = trn.predict(params, norm, record.features)
     os.makedirs(args.out, exist_ok=True)
     cfg = params.config
     for t, alpha in enumerate(trace.alpha, start=1):
@@ -261,24 +258,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="memattn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, manifest=False):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        if manifest:
-            p.add_argument("--manifest", required=True)
-        if checkpoint:
-            p.add_argument("--checkpoint", required=True)
-
     p = sub.add_parser("train", help="train a model and write a checkpoint")
-    common(p, manifest=True)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--no-attention", action="store_true",
                    help="replace attention with a uniform average")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report rank correlation and MSE")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest")
     p.add_argument("--splits", nargs="+", help="evaluate several manifests, report mean")
@@ -286,12 +275,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="score individual samples")
-    common(p, checkpoint=True, manifest=True)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--manifest", required=True)
     p.add_argument("ids", nargs="+")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("attmap", help="export attention heatmaps for one sample")
-    common(p, checkpoint=True, manifest=True)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--id", required=True)
     p.set_defaults(func=cmd_attmap)

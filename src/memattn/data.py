@@ -124,18 +124,20 @@ def load_manifest(path) -> Manifest:
     return manifest
 
 
+def load_record(manifest: Manifest, manifest_dir, record: ManifestRecord) -> FeatureRecord:
+    """Load one record's feature file; its dims must match the manifest."""
+    path = os.path.join(manifest_dir, record.path)
+    w, h, d, features = load_feature_file(path)
+    if (w, h, d) != (manifest.w, manifest.h, manifest.d):
+        raise FeatureFormatError(
+            f"{path}: dims {w}x{h}x{d} disagree with manifest "
+            f"{manifest.w}x{manifest.h}x{manifest.d}"
+        )
+    return FeatureRecord(id=record.id, features=features, score=record.score)
+
+
 def load_split(manifest: Manifest, manifest_dir, split: str) -> list[FeatureRecord]:
-    records = []
-    for r in manifest.split_records(split):
-        path = os.path.join(manifest_dir, r.path)
-        w, h, d, features = load_feature_file(path)
-        if (w, h, d) != (manifest.w, manifest.h, manifest.d):
-            raise FeatureFormatError(
-                f"{path}: dims {w}x{h}x{d} disagree with manifest "
-                f"{manifest.w}x{manifest.h}x{manifest.d}"
-            )
-        records.append(FeatureRecord(id=r.id, features=features, score=r.score))
-    return records
+    return [load_record(manifest, manifest_dir, r) for r in manifest.split_records(split)]
 
 
 # --- images -----------------------------------------------------------------

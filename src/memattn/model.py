@@ -82,9 +82,9 @@ class ModelParams:
         if list(params) != expected:
             raise ValueError("parameter set does not match config")
         for name, shape in _param_shapes(config):
-            if params[name].value.shape != shape:
+            if params[name].shape != shape:
                 raise ValueError(
-                    f"param {name}: shape {params[name].value.shape}, expected {shape}"
+                    f"param {name}: shape {params[name].shape}, expected {shape}"
                 )
 
     def __getitem__(self, name: str) -> Param:
@@ -94,11 +94,11 @@ class ModelParams:
         return list(self._params.values())
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.value.data.copy() for name, p in self._params.items()}
+        return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_snapshot(self, values: dict[str, np.ndarray]) -> None:
         for name, p in self._params.items():
-            p.value.data[...] = values[name]
+            p.data[...] = values[name]
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -126,12 +126,8 @@ class ForwardTrace:
 
     alpha: list[Tensor]
     z: list[Tensor]
-    h: list[Tensor]
     m: list[Tensor]
     y: Tensor
-
-    def alpha_values(self) -> np.ndarray:
-        return np.stack([a.data for a in self.alpha])
 
     def m_values(self) -> list[float]:
         return [m.item() for m in self.m]
@@ -152,8 +148,8 @@ def init_state(x, params: ModelParams):
             f"features shape {x.shape}, expected {(cfg.num_locations, cfg.d)}"
         )
     xbar = ag.mean_rows(x)
-    h0 = ag.tanh(ag.add(ag.matvec(params["init_h_W"].value, xbar), params["init_h_b"].value))
-    c0 = ag.tanh(ag.add(ag.matvec(params["init_c_W"].value, xbar), params["init_c_b"].value))
+    h0 = ag.tanh(ag.add(ag.matvec(params["init_h_W"], xbar), params["init_h_b"]))
+    c0 = ag.tanh(ag.add(ag.matvec(params["init_c_W"], xbar), params["init_c_b"]))
     return h0, c0
 
 
@@ -164,9 +160,9 @@ def attention_scores(x, h_prev: Tensor, params: ModelParams) -> Tensor:
         return ag.constant(np.ones(cfg.num_locations))
     x = _as_tensor(x)
     # U h_prev + b is shared by all locations; K x_i comes in as rows of x K^T.
-    shared = ag.add(ag.matvec(params["att_U"].value, h_prev), params["att_b"].value)
-    pre = ag.add(ag.matmul(x, ag.transpose(params["att_K"].value)), shared)
-    return ag.row_sums(ag.mul(params["att_M"].value, ag.tanh(pre)))
+    shared = ag.add(ag.matvec(params["att_U"], h_prev), params["att_b"])
+    pre = ag.add(ag.matmul(x, ag.transpose(params["att_K"])), shared)
+    return ag.row_sums(ag.mul(params["att_M"], ag.tanh(pre)))
 
 
 def attend(x, alpha: Tensor) -> Tensor:
@@ -180,7 +176,7 @@ def lstm_step(z: Tensor, h_prev: Tensor, c_prev: Tensor, params: ModelParams):
 
     def gate(name, activation):
         return activation(
-            ag.add(ag.matvec(params[f"lstm_W{name}"].value, zh), params[f"lstm_b{name}"].value)
+            ag.add(ag.matvec(params[f"lstm_W{name}"], zh), params[f"lstm_b{name}"])
         )
 
     i = gate("i", ag.sigmoid)
@@ -195,9 +191,9 @@ def lstm_step(z: Tensor, h_prev: Tensor, c_prev: Tensor, params: ModelParams):
 def discrete_score(h: Tensor, params: ModelParams, training: bool = False, rng=None) -> Tensor:
     """Two-layer regression head with a single linear output neuron."""
     cfg = params.config
-    hidden = ag.relu(ag.add(ag.vecmat(h, params["fm_w1"].value), params["fm_b1"].value))
+    hidden = ag.relu(ag.add(ag.vecmat(h, params["fm_w1"]), params["fm_b1"]))
     hidden = ag.dropout(hidden, cfg.dropout_rate, rng, training)
-    return ag.add(ag.dot(hidden, params["fm_w2"].value), params["fm_b2"].value)
+    return ag.add(ag.dot(hidden, params["fm_w2"]), params["fm_b2"])
 
 
 def forward(x, params: ModelParams, training: bool = False, rng=None) -> ForwardTrace:
@@ -205,7 +201,7 @@ def forward(x, params: ModelParams, training: bool = False, rng=None) -> Forward
     cfg = params.config
     x = _as_tensor(x)
     h, c = init_state(x, params)
-    alphas, zs, hs, ms = [], [], [], []
+    alphas, zs, ms = [], [], []
     y = None
     for _ in range(cfg.t):
         e = attention_scores(x, h, params)
@@ -216,10 +212,9 @@ def forward(x, params: ModelParams, training: bool = False, rng=None) -> Forward
         m = discrete_score(h, params, training=training, rng=rng)
         alphas.append(alpha)
         zs.append(z)
-        hs.append(h)
         ms.append(m)
         y = m if y is None else ag.add(y, m)
-    return ForwardTrace(alpha=alphas, z=zs, h=hs, m=ms, y=y)
+    return ForwardTrace(alpha=alphas, z=zs, m=ms, y=y)
 
 
 def attention_penalty(alphas: list[Tensor]) -> Tensor:
@@ -244,11 +239,11 @@ def save_checkpoint(path, params: ModelParams, norm: dict | None = None) -> None
             name = p.name.encode("utf-8")
             f.write(struct.pack("<I", len(name)))
             f.write(name)
-            shape = p.value.shape
+            shape = p.shape
             f.write(struct.pack("<I", len(shape)))
             for dim in shape:
                 f.write(struct.pack("<I", dim))
-            f.write(p.value.data.astype("<f8").tobytes())
+            f.write(p.data.astype("<f8").tobytes())
 
 
 class CheckpointFormatError(ValueError):

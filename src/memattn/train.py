@@ -91,8 +91,8 @@ def loss(x, target_normalized: float, params: mdl.ModelParams, train_cfg: TrainC
 
 class AdamState:
     def __init__(self, params):
-        self.m = {p.name: np.zeros_like(p.value.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.value.data) for p in params}
+        self.m = {p.name: np.zeros_like(p.data) for p in params}
+        self.v = {p.name: np.zeros_like(p.data) for p in params}
         self.t = 0
 
 
@@ -102,10 +102,10 @@ def adam_step(params, opt_state: AdamState, cfg: TrainConfig) -> None:
     t = opt_state.t
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     for p in params:
-        theta = p.value.data
+        theta = p.data
         if cfg.weight_decay > 0.0:
             theta -= cfg.learning_rate * cfg.weight_decay * theta
-        g = p.value.grad
+        g = p.grad
         m = opt_state.m[p.name]
         v = opt_state.v[p.name]
         m *= b1
@@ -142,7 +142,7 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
             total_loss += sample_loss.item()
         inv = 1.0 / len(batch)
         for p in param_list:
-            p.value.grad *= inv
+            p.grad *= inv
         adam_step(param_list, opt_state, train_cfg)
     return total_loss / n
 

@@ -23,7 +23,7 @@ def fd_check(build_loss, param, tol=1e-6, step=1e-5):
 
 def test_matmul_identity():
     a = Param("a", [[1.0, 2.0], [3.0, 4.0]])
-    out = ag.matmul(ag.constant(np.eye(2)), a.value)
+    out = ag.matmul(ag.constant(np.eye(2)), a)
     np.testing.assert_array_equal(out.data, [[1, 2], [3, 4]])
 
 
@@ -44,7 +44,7 @@ def test_matmul_gradient_vs_finite_differences():
     w = ag.constant(rng.normal(size=(3, 2)))
 
     def build():
-        prod = ag.matmul(a.value, b)
+        prod = ag.matmul(a, b)
         return ag.vec_sum(ag.row_sums(ag.mul(prod, w)))
 
     fd_check(build, a)
@@ -64,14 +64,14 @@ def test_tanh_rejects_non_finite():
 
 def test_tanh_gradient_at_0p3():
     p = Param("x", np.array([0.3]))
-    fd_check(lambda: ag.vec_sum(ag.tanh(p.value)), p, tol=1e-8)
+    fd_check(lambda: ag.vec_sum(ag.tanh(p)), p, tol=1e-8)
 
 
 @pytest.mark.parametrize("op", [ag.tanh, ag.sigmoid, ag.relu])
 def test_unary_op_gradients(op):
     rng = np.random.default_rng(7)
     p = Param("x", rng.normal(size=5) + 0.05)  # keep away from relu kink
-    fd_check(lambda: ag.vec_sum(op(p.value)), p)
+    fd_check(lambda: ag.vec_sum(op(p)), p)
 
 
 # --- softmax ----------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_softmax_gradient():
     rng = np.random.default_rng(1)
     p = Param("e", rng.normal(size=6))
     w = ag.constant(rng.normal(size=6))
-    fd_check(lambda: ag.dot(ag.softmax_vec(p.value), w), p)
+    fd_check(lambda: ag.dot(ag.softmax_vec(p), w), p)
 
 
 # --- remaining primitives ---------------------------------------------------
@@ -123,13 +123,13 @@ def test_primitive_gradients():
     w = ag.constant(rng.normal(size=3))
     w4 = ag.constant(rng.normal(size=4))
 
-    fd_check(lambda: ag.dot(ag.mean_rows(a.value), w), a)
-    fd_check(lambda: ag.vec_sum(ag.row_sums(ag.add(a.value, v.value))), v)
-    fd_check(lambda: ag.dot(ag.matvec(a.value, v.value), w4), a)
-    fd_check(lambda: ag.dot(ag.vecmat(u.value, a.value), w), u)
-    fd_check(lambda: ag.vec_sum(ag.concat(v.value, u.value)), v)
-    fd_check(lambda: ag.vec_sum(ag.scale(ag.mul(v.value, w), -2.5)), v)
-    fd_check(lambda: ag.vec_sum(ag.row_sums(ag.transpose(a.value))), a)
+    fd_check(lambda: ag.dot(ag.mean_rows(a), w), a)
+    fd_check(lambda: ag.vec_sum(ag.row_sums(ag.add(a, v))), v)
+    fd_check(lambda: ag.dot(ag.matvec(a, v), w4), a)
+    fd_check(lambda: ag.dot(ag.vecmat(u, a), w), u)
+    fd_check(lambda: ag.vec_sum(ag.concat(v, u)), v)
+    fd_check(lambda: ag.vec_sum(ag.scale(ag.mul(v, w), -2.5)), v)
+    fd_check(lambda: ag.vec_sum(ag.row_sums(ag.transpose(a))), a)
 
 
 def test_add_shape_error():
@@ -156,7 +156,7 @@ def test_dropout_mask_scaling():
 
 def test_zero_grads_after_backward():
     p = Param("p", np.ones(3))
-    ag.vec_sum(ag.mul(p.value, p.value)).backward()
+    ag.vec_sum(ag.mul(p, p)).backward()
     assert np.any(p.grad != 0)
     ag.zero_grads([p])
     np.testing.assert_array_equal(p.grad, np.zeros(3))
@@ -167,8 +167,8 @@ def test_zero_grads_after_backward():
 
 def test_grad_accumulates_across_samples():
     p = Param("p", np.array([2.0]))
-    ag.vec_sum(ag.mul(p.value, p.value)).backward()
-    ag.vec_sum(ag.mul(p.value, p.value)).backward()
+    ag.vec_sum(ag.mul(p, p)).backward()
+    ag.vec_sum(ag.mul(p, p)).backward()
     np.testing.assert_allclose(p.grad, [8.0])  # 2 * d(x^2)/dx at x=2
 
 
@@ -179,7 +179,7 @@ def test_backward_linearity():
     w2 = ag.constant(rng.normal(size=4))
 
     def losses(p):
-        return ag.dot(ag.tanh(p.value), w1), ag.dot(ag.mul(p.value, p.value), w2)
+        return ag.dot(ag.tanh(p), w1), ag.dot(ag.mul(p, p), w2)
 
     p = Param("p", values.copy())
     l1, l2 = losses(p)
@@ -196,7 +196,7 @@ def test_backward_linearity():
 
 def test_finite_diff_quadratic():
     p = Param("theta", np.array([3.0]))
-    grad = ag.finite_diff_grad(lambda: float(p.value.data[0] ** 2), p, step=1e-5)
+    grad = ag.finite_diff_grad(lambda: float(p.data[0] ** 2), p, step=1e-5)
     np.testing.assert_allclose(grad, [6.0], atol=1e-6)
 
 

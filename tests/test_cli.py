@@ -129,8 +129,8 @@ def test_eval_multi_split_mean(workspace, capsys):
 
 def test_eval_constant_predictions_clean_error(workspace, tmp_path, capsys):
     params, norm = mdl.load_checkpoint(workspace["checkpoint"])
-    params["fm_w1"].value.data[...] = 0.0
-    params["fm_w2"].value.data[...] = 0.0
+    params["fm_w1"].data[...] = 0.0
+    params["fm_w2"].data[...] = 0.0
     degenerate = tmp_path / "flat.amwt"
     mdl.save_checkpoint(degenerate, params, norm=norm)
     code, _, err = run(capsys, ["eval", "--checkpoint", str(degenerate),
@@ -278,6 +278,51 @@ def test_gradcheck_negative_control(monkeypatch, capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, ["train"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--seed", "0"],
+    ["predict", "--config", "x.json", "synth00000"],
+    ["attmap", "--seed", "0", "--out", "maps", "--id", "synth00000"],
+])
+def test_removed_flags_are_usage_errors(workspace, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    files = ["--checkpoint", workspace["checkpoint"], "--manifest", workspace["manifest"]]
+    code, _, err = run(capsys, argv[:1] + files + argv[1:])
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("model_block, field", [
+    ({"t": "3"}, "t"),
+    ({"attention_enabled": "false"}, "attention_enabled"),
+    ({"dropout_rate": 1.5}, "dropout rate"),
+])
+def test_bad_config_value_is_usage_error(workspace, tmp_path, capsys,
+                                           model_block, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": model_block}))
+    code, _, err = run(capsys, ["train", "--manifest", workspace["manifest"],
+                                "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["predict", "synth00000"], ["attmap", "--out", "maps", "--id", "synth00000"],
+])
+def test_manifest_grid_mismatch_is_io_error(workspace, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", str(tmp_path), "--n", "8",
+                 "--w", "3", "--h", "3", "--d", "8"]) == EXIT_OK
+    capsys.readouterr()
+    code, _, err = run(capsys, command[:1] + [
+        "--checkpoint", workspace["checkpoint"],
+        "--manifest", str(tmp_path / "manifest.json")] + command[1:])
+    assert code == EXIT_IO
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "3x3x8" in err and "2x2x8" in err
 
 
 def test_bad_checkpoint_magic_is_io_error(workspace, tmp_path, capsys):

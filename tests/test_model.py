@@ -26,19 +26,19 @@ def test_init_params_deterministic():
     a = mdl.init_params(cfg)
     b = mdl.init_params(cfg)
     for pa, pb in zip(a.params(), b.params()):
-        np.testing.assert_array_equal(pa.value.data, pb.value.data)
+        np.testing.assert_array_equal(pa.data, pb.data)
 
 
 def test_init_params_zero_biases():
     params = mdl.init_params(tiny_config())
     for name in ("att_b", "init_h_b", "init_c_b", "lstm_bi", "lstm_bf",
                  "lstm_bo", "lstm_bg", "fm_b1", "fm_b2"):
-        assert not np.any(params[name].value.data)
+        assert not np.any(params[name].data)
 
 
 def test_init_params_weight_mean_near_zero():
     cfg = tiny_config(w=10, h=10, d=100)
-    m = mdl.init_params(cfg)["att_M"].value.data  # 10000 draws
+    m = mdl.init_params(cfg)["att_M"].data  # 10000 draws
     limit = np.sqrt(6.0 / (m.shape[0] + m.shape[1]))
     sigma = limit / np.sqrt(3.0)  # uniform(-limit, limit)
     assert abs(m.mean()) < 3 * sigma / np.sqrt(m.size)
@@ -57,7 +57,7 @@ def test_init_state_zero_input_zero_weights():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
     for name in ("init_h_W", "init_c_W"):
-        params[name].value.data[...] = 0.0
+        params[name].data[...] = 0.0
     h0, c0 = mdl.init_state(np.zeros((cfg.num_locations, cfg.d)), params)
     np.testing.assert_array_equal(h0.data, np.zeros(cfg.b))
     np.testing.assert_array_equal(c0.data, np.zeros(cfg.b))
@@ -72,7 +72,7 @@ def test_init_state_mean_invariance():
     cfg_one = tiny_config(w=1, h=1)
     params_one = mdl.init_params(cfg_one)
     for name in ("init_h_W", "init_h_b", "init_c_W", "init_c_b"):
-        params_one[name].value.data[...] = params[name].value.data
+        params_one[name].data[...] = params[name].data
     h_one, c_one = mdl.init_state(row[None, :], params_one)
     np.testing.assert_allclose(h_many.data, h_one.data, atol=1e-12)
     np.testing.assert_allclose(c_many.data, c_one.data, atol=1e-12)
@@ -84,8 +84,8 @@ def test_init_state_direct_recomputation_oracle():
     x = random_features(cfg, seed=2)
     h0, c0 = mdl.init_state(x, params)
     xbar = x.mean(axis=0)
-    expected_h = np.tanh(params["init_h_W"].value.data @ xbar + params["init_h_b"].value.data)
-    expected_c = np.tanh(params["init_c_W"].value.data @ xbar + params["init_c_b"].value.data)
+    expected_h = np.tanh(params["init_h_W"].data @ xbar + params["init_h_b"].data)
+    expected_c = np.tanh(params["init_c_W"].data @ xbar + params["init_c_b"].data)
     np.testing.assert_allclose(h0.data, expected_h, atol=1e-12)
     np.testing.assert_allclose(c0.data, expected_c, atol=1e-12)
 
@@ -108,7 +108,7 @@ def test_attention_disabled_returns_ones():
 def test_attention_zero_projection_gives_zero_scores():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
-    params["att_M"].value.data[...] = 0.0
+    params["att_M"].data[...] = 0.0
     e = mdl.attention_scores(random_features(cfg), ag.constant(np.zeros(cfg.b)), params)
     np.testing.assert_array_equal(e.data, np.zeros(cfg.num_locations))
 
@@ -118,10 +118,10 @@ def test_attention_scores_scalar_hand_expansion():
                           dropout_rate=0.0, dropout_z=0.0, seed=0)
     params = mdl.init_params(cfg)
     M, U, K, b = 0.7, -0.4, 1.3, 0.2
-    params["att_M"].value.data[...] = [[M], [2 * M]]
-    params["att_U"].value.data[...] = [[U]]
-    params["att_K"].value.data[...] = [[K]]
-    params["att_b"].value.data[...] = [b]
+    params["att_M"].data[...] = [[M], [2 * M]]
+    params["att_U"].data[...] = [[U]]
+    params["att_K"].data[...] = [[K]]
+    params["att_b"].data[...] = [b]
     x = np.array([[0.5], [-1.1]])
     h = 0.9
     e = mdl.attention_scores(x, ag.constant(np.array([h])), params)
@@ -171,7 +171,7 @@ def test_lstm_zero_params_closed_form():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
     for gate in ("i", "f", "o", "g"):
-        params[f"lstm_W{gate}"].value.data[...] = 0.0
+        params[f"lstm_W{gate}"].data[...] = 0.0
     rng = np.random.default_rng(7)
     z = ag.constant(rng.normal(size=cfg.d))
     h_prev = ag.constant(rng.normal(size=cfg.b))
@@ -185,7 +185,7 @@ def test_lstm_all_zero_inputs():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
     for gate in ("i", "f", "o", "g"):
-        params[f"lstm_W{gate}"].value.data[...] = 0.0
+        params[f"lstm_W{gate}"].data[...] = 0.0
     h, c = mdl.lstm_step(ag.constant(np.zeros(cfg.d)), ag.constant(np.zeros(cfg.b)),
                          ag.constant(np.zeros(cfg.b)), params)
     np.testing.assert_array_equal(h.data, np.zeros(cfg.b))
@@ -199,8 +199,8 @@ def test_lstm_scalar_hand_expansion():
     weights = {"i": [0.3, -0.2], "f": [0.5, 0.1], "o": [-0.4, 0.8], "g": [1.1, -0.7]}
     biases = {"i": 0.05, "f": -0.1, "o": 0.2, "g": 0.0}
     for gate, wv in weights.items():
-        params[f"lstm_W{gate}"].value.data[...] = [wv]
-        params[f"lstm_b{gate}"].value.data[...] = [biases[gate]]
+        params[f"lstm_W{gate}"].data[...] = [wv]
+        params[f"lstm_b{gate}"].data[...] = [biases[gate]]
     z_val, h_val, c_val = 0.6, -0.3, 0.9
 
     def sig(v):
@@ -223,8 +223,8 @@ def test_lstm_scalar_hand_expansion():
 def test_discrete_score_zero_params():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
-    params["fm_w1"].value.data[...] = 0.0
-    params["fm_w2"].value.data[...] = 0.0
+    params["fm_w1"].data[...] = 0.0
+    params["fm_w2"].data[...] = 0.0
     m = mdl.discrete_score(ag.constant(np.ones(cfg.b)), params)
     assert m.item() == 0.0
 
@@ -233,10 +233,10 @@ def test_discrete_score_hand_expansion():
     cfg = tiny_config(fm_hidden=1)
     params = mdl.init_params(cfg)
     w1 = np.arange(1.0, cfg.b + 1.0)
-    params["fm_w1"].value.data[...] = w1[:, None]
-    params["fm_b1"].value.data[...] = [0.25]
-    params["fm_w2"].value.data[...] = [2.0]
-    params["fm_b2"].value.data[...] = 0.5
+    params["fm_w1"].data[...] = w1[:, None]
+    params["fm_b1"].data[...] = [0.25]
+    params["fm_w2"].data[...] = [2.0]
+    params["fm_b2"].data[...] = 0.5
     h = np.full(cfg.b, 0.1)  # pre-activation positive
     pre = float(w1 @ h + 0.25)
     assert pre > 0
@@ -256,8 +256,8 @@ def test_discrete_score_eval_mode_deterministic():
 def test_forward_t1_zero_regression_params():
     cfg = tiny_config(t=1)
     params = mdl.init_params(cfg)
-    params["fm_w1"].value.data[...] = 0.0
-    params["fm_w2"].value.data[...] = 0.0
+    params["fm_w1"].data[...] = 0.0
+    params["fm_w2"].data[...] = 0.0
     trace = mdl.forward(random_features(cfg), params)
     assert trace.y_value() == 0.0
 
@@ -301,7 +301,7 @@ def test_forward_eval_mode_deterministic():
     x = random_features(cfg, seed=12)
     a = mdl.forward(x, params)
     b = mdl.forward(x, params)
-    np.testing.assert_array_equal(a.alpha_values(), b.alpha_values())
+    np.testing.assert_array_equal([t.data for t in a.alpha], [t.data for t in b.alpha])
     assert a.y_value() == b.y_value()
 
 
@@ -382,7 +382,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded_norm == norm
     for a, b in zip(params.params(), loaded.params()):
         assert a.name == b.name
-        np.testing.assert_array_equal(a.value.data, b.value.data)
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_checkpoint_bad_magic(tmp_path):
