@@ -1,8 +1,12 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Only the shapes the model needs are supported: scalars, vectors and
-matrices. Every op returns a fresh Tensor; backward closures *add* into
-parent grads, so gradients accumulate across samples until zero_grads.
+matrices. Every op returns a fresh Tensor whose grad is None. Only a
+Param owns a grad buffer from construction; `Tensor.backward` gives a
+zero buffer to each node that some Param reaches, and runs only those
+nodes' closures. A closure *adds* into the parents that have a buffer,
+so constant inputs get no gradient work and Param grads accumulate
+across samples until zero_grads.
 """
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "DimensionError",
+    "NonFiniteError",
     "OracleError",
     "Tensor",
     "Param",
@@ -41,6 +46,10 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
+class NonFiniteError(ValueError):
+    """A value that must be finite is NaN or infinite."""
+
+
 class OracleError(RuntimeError):
     """The finite-difference oracle cannot trust its loss function."""
 
@@ -52,7 +61,7 @@ class Tensor:
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.grad = None
         self._parents = parents
         self._backward = backward
 
@@ -64,9 +73,11 @@ class Tensor:
         return float(self.data)
 
     def backward(self):
-        """Propagate d(self)/d(leaf) into every reachable grad buffer.
+        """Add d(self)/d(param) into the grad of every Param self depends on.
 
-        self must be scalar-shaped; the seed gradient is 1.
+        self must be scalar-shaped; the seed gradient is 1. Intermediate
+        nodes get fresh zero buffers, so a second backward through the
+        same graph adds the same amounts again.
         """
         order = []
         seen = set()
@@ -83,9 +94,19 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = self.grad + np.ones_like(self.data)
+        # order lists parents first: a node is reached iff a parent is
+        for node in order:
+            if node._parents:
+                node.grad = None
+                for parent in node._parents:
+                    if parent.grad is not None:
+                        node.grad = np.zeros(node.data.shape)
+                        break
+        if self.grad is None:
+            return
+        self.grad += 1.0
         for node in reversed(order):
-            if node._backward is not None:
+            if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
 
     def __repr__(self):
@@ -99,6 +120,7 @@ class Param(Tensor):
 
     def __init__(self, name: str, values):
         super().__init__(values)
+        self.grad = np.zeros(self.data.shape)
         self.name = name
 
     def __repr__(self):
@@ -106,7 +128,7 @@ class Param(Tensor):
 
 
 def constant(values) -> Tensor:
-    """A leaf tensor that participates in the graph but needs no grad."""
+    """A leaf tensor that participates in the graph but gets no grad."""
     return Tensor(values)
 
 
@@ -117,7 +139,7 @@ def zero_grads(params) -> None:
 
 def _require_finite(t: Tensor, op: str) -> None:
     if not np.all(np.isfinite(t.data)):
-        raise ValueError(f"{op}: non-finite input")
+        raise NonFiniteError(f"{op}: non-finite input")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -126,8 +148,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, (a, b))
 
     def backward(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        if a.grad is not None:
+            a.grad += g @ b.data.T
+        if b.grad is not None:
+            b.grad += a.data.T @ g
 
     out._backward = backward
     return out
@@ -139,8 +163,10 @@ def matvec(a: Tensor, x: Tensor) -> Tensor:
     out = Tensor(a.data @ x.data, (a, x))
 
     def backward(g):
-        a.grad += np.outer(g, x.data)
-        x.grad += a.data.T @ g
+        if a.grad is not None:
+            a.grad += np.outer(g, x.data)
+        if x.grad is not None:
+            x.grad += a.data.T @ g
 
     out._backward = backward
     return out
@@ -152,8 +178,10 @@ def vecmat(x: Tensor, a: Tensor) -> Tensor:
     out = Tensor(x.data @ a.data, (x, a))
 
     def backward(g):
-        x.grad += a.data @ g
-        a.grad += np.outer(x.data, g)
+        if x.grad is not None:
+            x.grad += a.data @ g
+        if a.grad is not None:
+            a.grad += np.outer(x.data, g)
 
     out._backward = backward
     return out
@@ -177,15 +205,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data + b.data, (a, b))
 
         def backward(g):
-            a.grad += g
-            b.grad += g
+            if a.grad is not None:
+                a.grad += g
+            if b.grad is not None:
+                b.grad += g
 
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         out = Tensor(a.data + b.data, (a, b))
 
         def backward(g):
-            a.grad += g
-            b.grad += g.sum(axis=0)
+            if a.grad is not None:
+                a.grad += g
+            if b.grad is not None:
+                b.grad += g.sum(axis=0)
 
     else:
         raise DimensionError(f"add: incompatible shapes {a.shape} + {b.shape}")
@@ -199,8 +231,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def backward(g):
-        a.grad += g * b.data
-        b.grad += g * a.data
+        if a.grad is not None:
+            a.grad += g * b.data
+        if b.grad is not None:
+            b.grad += g * a.data
 
     out._backward = backward
     return out
@@ -311,8 +345,10 @@ def dot(x: Tensor, y: Tensor) -> Tensor:
     out = Tensor(np.dot(x.data, y.data), (x, y))
 
     def backward(g):
-        x.grad += g * y.data
-        y.grad += g * x.data
+        if x.grad is not None:
+            x.grad += g * y.data
+        if y.grad is not None:
+            y.grad += g * x.data
 
     out._backward = backward
     return out
@@ -325,8 +361,10 @@ def concat(x: Tensor, y: Tensor) -> Tensor:
     out = Tensor(np.concatenate([x.data, y.data]), (x, y))
 
     def backward(g):
-        x.grad += g[:n]
-        y.grad += g[n:]
+        if x.grad is not None:
+            x.grad += g[:n]
+        if y.grad is not None:
+            y.grad += g[n:]
 
     out._backward = backward
     return out

@@ -6,14 +6,13 @@ import json
 import os
 import sys
 import time
-import typing
 
 import numpy as np
 
 from . import data as dat
 from . import model as mdl
 from . import train as trn
-from .autograd import gradient_check
+from .autograd import NonFiniteError, gradient_check
 from .metrics import ConstantInputError
 
 EXIT_OK = 0
@@ -37,22 +36,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path):
+    """The --config JSON object; its model and train sections must be objects."""
     if path is None:
         return {}
     with open(path) as f:
-        return json.load(f)
+        try:
+            config = json.load(f)
+        except ValueError as exc:
+            raise CliError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise CliError(f"{path}: top level must be a JSON object")
+    for section in ("model", "train"):
+        if not isinstance(config.get(section, {}), dict):
+            raise CliError(f"{path}: section {section!r} must be a JSON object")
+    return config
 
 
 def _config(cfg, section, block, **overrides):
     """cfg with a config-file section applied, then the non-None overrides."""
-    fields = typing.get_type_hints(type(cfg))
+    try:
+        mdl.check_config_fields(type(cfg), block)
+    except ValueError as exc:
+        raise CliError(f"{section} config: {exc}") from None
     for key, value in block.items():
-        if key not in fields:
-            raise CliError(f"unknown {section} config field {key!r}")
-        # a float field also takes a JSON integer; int and bool take only themselves
-        if type(value) not in ((int, float) if fields[key] is float else (fields[key],)):
-            raise CliError(f"{section} config field {key!r} must be "
-                           f"{fields[key].__name__}, got {value!r}")
         setattr(cfg, key, value)
     for key, value in overrides.items():
         if value is not None:
@@ -311,7 +317,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ConstantInputError as exc:
+    except (ConstantInputError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (dat.FeatureFormatError, mdl.CheckpointFormatError, OSError) as exc:

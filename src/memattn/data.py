@@ -79,6 +79,8 @@ def load_feature_file(path):
         blob = f.read()
     if blob[:4] != FEATURE_MAGIC:
         raise FeatureFormatError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 20:
+        raise FeatureFormatError(f"{path}: truncated header, {len(blob)} of 20 bytes")
     version, w, h, d = struct.unpack_from("<IIII", blob, 4)
     if version != FEATURE_VERSION:
         raise FeatureFormatError(f"{path}: unsupported version {version}")
@@ -87,8 +89,10 @@ def load_feature_file(path):
         raise FeatureFormatError(
             f"{path}: payload length mismatch, expected {expected} bytes, got {len(blob)}"
         )
-    values = np.frombuffer(blob, dtype="<f4", offset=20).astype(np.float64)
-    return w, h, d, values.reshape(w * h, d)
+    values = np.frombuffer(blob, dtype="<f4", offset=20)
+    if not np.isfinite(values).all():
+        raise FeatureFormatError(f"{path}: non-finite feature value")
+    return w, h, d, values.astype(np.float64).reshape(w * h, d)
 
 
 def save_manifest(path, manifest: Manifest) -> None:

@@ -3,14 +3,18 @@
 A forward pass initializes the LSTM state from the mean feature vector,
 then runs T steps of soft attention over the L spatial locations; each
 step regresses one partial score from the hidden state and the total
-score is their sum. Attention can be disabled, which makes every step
-see the plain location mean.
+score is their sum. The location term K x_i of the attention logits does
+not depend on the step, so the keys x K^T are computed once per pass and
+each step only adds U h_{t-1} + b. Attention can be disabled, which
+makes every step see the plain location mean.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -73,19 +77,15 @@ def _param_shapes(cfg: ModelConfig):
 
 
 class ModelParams:
-    """All learnable weights, addressable by name in a stable order."""
+    """All learnable weights, addressable by name in a stable order.
+
+    params holds exactly the names and shapes of _param_shapes(config), in
+    that order: init_params builds them so and load_checkpoint checks them.
+    """
 
     def __init__(self, config: ModelConfig, params: dict[str, Param]):
         self.config = config
         self._params = params
-        expected = [name for name, _ in _param_shapes(config)]
-        if list(params) != expected:
-            raise ValueError("parameter set does not match config")
-        for name, shape in _param_shapes(config):
-            if params[name].shape != shape:
-                raise ValueError(
-                    f"param {name}: shape {params[name].shape}, expected {shape}"
-                )
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -153,15 +153,21 @@ def init_state(x, params: ModelParams):
     return h0, c0
 
 
-def attention_scores(x, h_prev: Tensor, params: ModelParams) -> Tensor:
-    """Per-location logits; all ones when attention is disabled."""
+def attention_keys(x, params: ModelParams) -> Tensor | None:
+    """x K^T, whose row i is K x_i; None when attention is disabled."""
+    if not params.config.attention_enabled:
+        return None
+    return ag.matmul(_as_tensor(x), ag.transpose(params["att_K"]))
+
+
+def attention_scores(keys: Tensor | None, h_prev: Tensor, params: ModelParams) -> Tensor:
+    """Per-location logits from attention_keys; all ones when attention is disabled."""
     cfg = params.config
-    if not cfg.attention_enabled:
+    if keys is None:
         return ag.constant(np.ones(cfg.num_locations))
-    x = _as_tensor(x)
-    # U h_prev + b is shared by all locations; K x_i comes in as rows of x K^T.
+    # U h_prev + b is shared by all locations
     shared = ag.add(ag.matvec(params["att_U"], h_prev), params["att_b"])
-    pre = ag.add(ag.matmul(x, ag.transpose(params["att_K"])), shared)
+    pre = ag.add(keys, shared)
     return ag.row_sums(ag.mul(params["att_M"], ag.tanh(pre)))
 
 
@@ -201,10 +207,11 @@ def forward(x, params: ModelParams, training: bool = False, rng=None) -> Forward
     cfg = params.config
     x = _as_tensor(x)
     h, c = init_state(x, params)
+    keys = attention_keys(x, params)
     alphas, zs, ms = [], [], []
     y = None
     for _ in range(cfg.t):
-        e = attention_scores(x, h, params)
+        e = attention_scores(keys, h, params)
         alpha = ag.softmax_vec(e)
         z = attend(x, alpha)
         z = ag.dropout(z, cfg.dropout_z, rng, training)
@@ -250,32 +257,97 @@ class CheckpointFormatError(ValueError):
     pass
 
 
+def check_config_fields(cls, block: dict) -> None:
+    """ValueError unless each key of block is a field of the dataclass cls
+    and its value has the field's type; a float field also takes an int."""
+    hints = typing.get_type_hints(cls)
+    for key, value in block.items():
+        if key not in hints:
+            raise ValueError(f"unknown field {key!r}")
+        if type(value) not in ((int, float) if hints[key] is float else (hints[key],)):
+            raise ValueError(f"field {key!r} must be {hints[key].__name__}, got {value!r}")
+
+
+def _checkpoint_meta(path, meta_bytes: bytes):
+    """(ModelConfig, norm dict or None) from the JSON meta block."""
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: meta block is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict) or set(meta) != {"config", "norm"}:
+        raise CheckpointFormatError(f"{path}: meta block must be an object with keys "
+                                    f"config, norm")
+    block, norm = meta["config"], meta["norm"]
+    if not isinstance(block, dict):
+        raise CheckpointFormatError(f"{path}: meta config must be an object")
+    missing = {f.name for f in fields(ModelConfig)} - set(block)
+    if missing:
+        raise CheckpointFormatError(f"{path}: meta config lacks {sorted(missing)}")
+    try:
+        check_config_fields(ModelConfig, block)
+        config = ModelConfig(**block)
+        config.validate()
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: meta config: {exc}") from None
+    if norm is not None and not (
+        isinstance(norm, dict) and set(norm) == {"mean", "half_range"}
+        and all(type(v) is float and math.isfinite(v) for v in norm.values())
+        and norm["half_range"] > 0
+    ):
+        raise CheckpointFormatError(f"{path}: meta norm must be null or a finite mean "
+                                    f"and positive half_range, got {norm!r}")
+    return config, norm
+
+
 def load_checkpoint(path):
-    """Returns (ModelParams, norm dict or None)."""
+    """Returns (ModelParams, norm dict or None).
+
+    The parameters must be exactly those of the stored config, in order,
+    with finite values, and end the file.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad checkpoint magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+        raise CheckpointFormatError(f"{path}: bad checkpoint magic {blob[:4]!r}")
+    pos = 4
+
+    def take(n, what):
+        """Start offset of the next n bytes, which must exist."""
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise CheckpointFormatError(
+                f"{path}: truncated in {what}: needs {n} bytes at offset {pos}, "
+                f"file has {len(blob)}")
+        pos += n
+        return pos - n
+
+    def u32(what):
+        return struct.unpack_from("<I", blob, take(4, what))[0]
+
+    version = u32("version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<I", blob, 8)
-    offset = 12
-    meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    config = ModelConfig(**meta["config"])
+        raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
+    meta_len = u32("meta length")
+    start = take(meta_len, "meta block")
+    config, norm = _checkpoint_meta(path, blob[start:pos])
     params = {}
-    while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
-        params[name] = Param(name, values.copy())
-    return ModelParams(config, params), meta.get("norm")
+    for name, shape in _param_shapes(config):
+        name_len = u32(f"{name} name length")
+        start = take(name_len, f"{name} name")
+        if blob[start:pos] != name.encode("utf-8"):
+            raise CheckpointFormatError(
+                f"{path}: parameter {blob[start:pos]!r} where config needs {name!r}")
+        rank = u32(f"{name} rank")
+        stored = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"{name} shape"))
+        if stored != shape:
+            raise CheckpointFormatError(
+                f"{path}: parameter {name} has shape {stored}, config needs {shape}")
+        count = math.prod(shape)
+        values = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count, name))
+        if not np.isfinite(values).all():
+            raise CheckpointFormatError(f"{path}: parameter {name} has non-finite values")
+        params[name] = Param(name, values.reshape(shape).copy())
+    if pos != len(blob):
+        raise CheckpointFormatError(
+            f"{path}: {len(blob) - pos} trailing bytes after the last parameter")
+    return ModelParams(config, params), norm

@@ -151,6 +151,8 @@ def predict(params: mdl.ModelParams, norm: ScoreNorm, features):
     """Eval-mode prediction: (clamped denormalized y, raw trace)."""
     trace = mdl.forward(features, params, training=False)
     y = norm.denormalize(trace.y_value())
+    if not math.isfinite(y):
+        raise ag.NonFiniteError(f"predict: non-finite score {y}")
     return float(np.clip(y, 0.0, 1.0)), trace
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memattn import autograd as ag
 from memattn import data as dat
@@ -331,3 +335,95 @@ def test_bad_checkpoint_magic_is_io_error(workspace, tmp_path, capsys):
     code, _, _ = run(capsys, ["eval", "--checkpoint", str(bad),
                               "--manifest", workspace["manifest"]])
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1]", '{"model": [1]}', '{"train": 3}'])
+def test_malformed_config_file_is_usage_error(workspace, tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, _, err = run(capsys, ["train", "--manifest", workspace["manifest"],
+                                "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(config) in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["predict", "synth00000"], ["attmap", "--out", "maps", "--id", "synth00000"],
+])
+def test_truncated_checkpoint_is_io_error(workspace, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    cut = tmp_path / "cut.amwt"
+    with open(workspace["checkpoint"], "rb") as f:
+        cut.write_bytes(f.read()[:300])
+    code, _, err = run(capsys, command[:1] + [
+        "--checkpoint", str(cut), "--manifest", workspace["manifest"]] + command[1:])
+    assert code == EXIT_IO
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cut) in err and "truncated" in err
+
+
+def test_non_finite_train_feature_is_io_error(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path), "--n", "20",
+                 "--w", "2", "--h", "2", "--d", "4"]) == EXIT_OK
+    capsys.readouterr()
+    record = dat.load_manifest(tmp_path / "manifest.json").split_records("train")[3]
+    path = tmp_path / record.path
+    w, h, _, features = dat.load_feature_file(path)
+    features[1, 2] = np.nan
+    dat.write_feature_file(path, features, w, h)
+    code, _, err = run(capsys, ["train", "--manifest", str(tmp_path / "manifest.json"),
+                                "--out", str(tmp_path / "run")])
+    assert code == EXIT_IO
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert record.path in err
+
+
+@pytest.fixture(scope="module")
+def mutants(workspace, tmp_path_factory):
+    """A directory whose manifest reads its first test record from mutant.amft,
+    and the valid bytes of that file and of the checkpoint."""
+    root = tmp_path_factory.mktemp("mutants")
+    data_dir = os.path.dirname(workspace["manifest"])
+    manifest = dat.load_manifest(workspace["manifest"])
+    first = manifest.split_records("test")[0]
+    with open(os.path.join(data_dir, first.path), "rb") as f:
+        amft = f.read()
+    with open(workspace["checkpoint"], "rb") as f:
+        amwt = f.read()
+    for r in manifest.records:
+        r.path = "mutant.amft" if r is first else os.path.join(data_dir, r.path)
+    dat.save_manifest(root / "manifest.json", manifest)
+    return root, {"amft": amft, "amwt": amwt}
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_mutated_input_files_fail_cleanly(mutants, data):
+    root, valid = mutants
+    target = data.draw(st.sampled_from(sorted(valid)), label="file")
+    blob = bytearray(valid[target])
+    kind = data.draw(st.sampled_from(["overwrite", "truncate", "append"]), label="kind")
+    # both headers and the checkpoint's meta block lie in the first 256 bytes
+    pos = data.draw(st.integers(0, min(255, len(blob) - 1))
+                    | st.integers(0, len(blob) - 1), label="pos")
+    if kind == "overwrite":
+        chunk = data.draw(st.binary(min_size=1, max_size=8), label="bytes")
+        blob[pos:pos + len(chunk)] = chunk
+    elif kind == "truncate":
+        del blob[pos:]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=8), label="bytes")
+    for name, original in valid.items():
+        (root / f"mutant.{name}").write_bytes(blob if name == target else original)
+    out, err = io.StringIO(), io.StringIO()
+    # an exception escaping main fails the test with its traceback
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--checkpoint", str(root / "mutant.amwt"),
+                     "--manifest", str(root / "manifest.json")])
+    err = err.getvalue()
+    # 3: mutated weights made every prediction equal, or overflowed the forward pass
+    assert code in (EXIT_OK, EXIT_IO, EXIT_VERIFY), err
+    if code != EXIT_OK:
+        assert err.startswith("error:") and err.count("\n") == 1, err

@@ -37,6 +37,24 @@ def test_feature_file_truncated(tmp_path):
         dat.load_feature_file(path)
 
 
+def test_feature_file_truncated_header(tmp_path):
+    path = tmp_path / "short.amft"
+    path.write_bytes(b"AMFT" + struct.pack("<II", 1, 2))
+    with pytest.raises(dat.FeatureFormatError, match="header"):
+        dat.load_feature_file(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_file_non_finite_rejected(tmp_path, bad):
+    features = np.zeros((4, 3))
+    features[2, 1] = bad
+    path = tmp_path / "bad.amft"
+    dat.write_feature_file(path, features, w=2, h=2)
+    with pytest.raises(dat.FeatureFormatError, match="non-finite") as info:
+        dat.load_feature_file(path)
+    assert str(path) in str(info.value)
+
+
 def test_feature_file_hand_built_fixture(tmp_path):
     # 2x2 grid, 3 channels, values 0..11 as little-endian f32
     values = np.arange(12, dtype="<f4")

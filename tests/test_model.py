@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -101,7 +104,8 @@ def test_init_state_shape_mismatch():
 def test_attention_disabled_returns_ones():
     cfg = tiny_config(attention_enabled=False)
     params = mdl.init_params(cfg)
-    e = mdl.attention_scores(random_features(cfg), ag.constant(np.zeros(cfg.b)), params)
+    keys = mdl.attention_keys(random_features(cfg), params)
+    e = mdl.attention_scores(keys, ag.constant(np.zeros(cfg.b)), params)
     np.testing.assert_array_equal(e.data, np.ones(cfg.num_locations))
 
 
@@ -109,7 +113,8 @@ def test_attention_zero_projection_gives_zero_scores():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
     params["att_M"].data[...] = 0.0
-    e = mdl.attention_scores(random_features(cfg), ag.constant(np.zeros(cfg.b)), params)
+    keys = mdl.attention_keys(random_features(cfg), params)
+    e = mdl.attention_scores(keys, ag.constant(np.zeros(cfg.b)), params)
     np.testing.assert_array_equal(e.data, np.zeros(cfg.num_locations))
 
 
@@ -124,7 +129,7 @@ def test_attention_scores_scalar_hand_expansion():
     params["att_b"].data[...] = [b]
     x = np.array([[0.5], [-1.1]])
     h = 0.9
-    e = mdl.attention_scores(x, ag.constant(np.array([h])), params)
+    e = mdl.attention_scores(mdl.attention_keys(x, params), ag.constant(np.array([h])), params)
     expected = [M * np.tanh(U * h + K * 0.5 + b),
                 2 * M * np.tanh(U * h + K * -1.1 + b)]
     np.testing.assert_allclose(e.data, expected, atol=1e-12)
@@ -355,18 +360,52 @@ def test_penalty_naive_loop_oracle():
 
 # --- end-to-end gradients ---------------------------------------------------
 
+def graph_nodes(*roots):
+    nodes, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
 def test_full_loss_gradients_match_finite_differences():
-    cfg = tiny_config()
+    # gradients reach every Param and nothing else, with attention on and off
+    for enabled in (True, False):
+        cfg = tiny_config(attention_enabled=enabled)
+        params = mdl.init_params(cfg)
+        x = ag.constant(random_features(cfg, seed=16))
+        tcfg = trn.TrainConfig(penalty_weight=1e-4)
+
+        def build():
+            total, _ = trn.loss(x, 0.4, params, tcfg, training=False)
+            return total
+
+        report = ag.gradient_check(build, params.params(), step=1e-5)
+        assert max(report.values()) < 1e-4, (enabled, report)
+        assert x.grad is None
+
+        _, trace = trn.predict(params, trn.ScoreNorm(mean=0.5, half_range=0.3), x)
+        nodes = graph_nodes(trace.y, *trace.alpha)
+        assert any(isinstance(n, ag.Param) for n in nodes)
+        assert all(n.grad is None for n in nodes if not isinstance(n, ag.Param))
+
+
+@pytest.mark.parametrize("enabled, expected", [(True, 1), (False, 0)])
+def test_forward_computes_keys_once(monkeypatch, enabled, expected):
+    cfg = tiny_config(attention_enabled=enabled)
     params = mdl.init_params(cfg)
-    x = random_features(cfg, seed=16)
-    tcfg = trn.TrainConfig(penalty_weight=1e-4)
+    true_matmul = ag.matmul
+    calls = []
 
-    def build():
-        total, _ = trn.loss(x, 0.4, params, tcfg, training=False)
-        return total
+    def counting_matmul(a, b):
+        calls.append((a.shape, b.shape))
+        return true_matmul(a, b)
 
-    report = ag.gradient_check(build, params.params(), step=1e-5)
-    assert max(report.values()) < 1e-4, report
+    monkeypatch.setattr(ag, "matmul", counting_matmul)
+    mdl.forward(random_features(cfg), params)
+    assert len(calls) == expected
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -398,3 +437,57 @@ def test_checkpoint_magic_and_version_layout(tmp_path):
     blob = path.read_bytes()
     assert blob[:4] == b"AMWT"
     assert int.from_bytes(blob[4:8], "little") == 1
+
+
+def with_meta(blob, meta):
+    """blob with its JSON meta block replaced by meta (bytes or a JSON value)."""
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    new = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + meta_len:]
+
+
+def edited_meta(blob, edit):
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12:12 + meta_len])
+    edit(meta)
+    return with_meta(blob, meta)
+
+
+CORRUPTIONS = {
+    "empty": lambda b: b"",
+    "cut in header": lambda b: b[:10],
+    "cut in meta": lambda b: b[:30],
+    "cut in params": lambda b: b[:300],
+    "cut last byte": lambda b: b[:-1],
+    "meta past end": lambda b: b[:8] + struct.pack("<I", len(b)) + b[12:],
+    "meta not JSON": lambda b: with_meta(b, b"{bad"),
+    "meta not object": lambda b: with_meta(b, [1, 2]),
+    "meta unknown key": lambda b: edited_meta(b, lambda m: m.update(extra=1)),
+    "unknown config key": lambda b: edited_meta(b, lambda m: m["config"].update(depth=2)),
+    "missing config key": lambda b: edited_meta(b, lambda m: m["config"].pop("seed")),
+    "config wrong type": lambda b: edited_meta(b, lambda m: m["config"].update(t="3")),
+    "config invalid": lambda b: edited_meta(b, lambda m: m["config"].update(t=0)),
+    "config shape mismatch": lambda b: edited_meta(b, lambda m: m["config"].update(d=9)),
+    "norm missing key": lambda b: edited_meta(b, lambda m: m["norm"].pop("mean")),
+    "parameter renamed": lambda b: b.replace(b"att_U", b"att_V", 1),
+    "trailing bytes": lambda b: b + b"\0\0",
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_checkpoint_corruption_is_format_error(tmp_path, corruption):
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, mdl.init_params(tiny_config()), norm={"mean": 0.5, "half_range": 0.3})
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(mdl.CheckpointFormatError):
+        mdl.load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_weights_rejected(tmp_path):
+    params = mdl.init_params(tiny_config())
+    params["lstm_Wf"].data[1, 2] = np.nan
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, params)
+    with pytest.raises(mdl.CheckpointFormatError, match="lstm_Wf.*non-finite") as info:
+        mdl.load_checkpoint(path)
+    assert str(path) in str(info.value)
