@@ -264,8 +264,13 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _require_finite(a, "sigmoid")
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    # one reduction rules out NaN, inf and an overflow of exp(-a)
+    if np.abs(a.data).max() < 700.0:
+        y = 1.0 / (1.0 + np.exp(-a.data))
+    else:
+        _require_finite(a, "sigmoid")
+        with np.errstate(over="ignore"):  # exp(-a) = inf gives the exact limit y = 0
+            y = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(y, (a,))
 
     def backward(g):

@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path):
-    """The --config JSON object; its model and train sections must be objects."""
+    """The --config JSON object; it may hold only model and train sections, both objects."""
     if path is None:
         return {}
     with open(path) as f:
@@ -46,8 +46,10 @@ def _load_config_file(path):
             raise CliError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise CliError(f"{path}: top level must be a JSON object")
-    for section in ("model", "train"):
-        if not isinstance(config.get(section, {}), dict):
+    for section, block in config.items():
+        if section not in ("model", "train"):
+            raise CliError(f"{path}: unknown section {section!r}, expected model or train")
+        if not isinstance(block, dict):
             raise CliError(f"{path}: section {section!r} must be a JSON object")
     return config
 
@@ -93,8 +95,6 @@ def _load_by_id(manifest_path, config, ids):
 
 def _load_checkpoint(path):
     params, norm_dict = mdl.load_checkpoint(path)
-    if norm_dict is None:
-        raise CliError(f"{path}: checkpoint has no score normalization stats", EXIT_IO)
     return params, trn.ScoreNorm.from_dict(norm_dict)
 
 
@@ -320,7 +320,8 @@ def main(argv=None) -> int:
     except (ConstantInputError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (dat.FeatureFormatError, mdl.CheckpointFormatError, OSError) as exc:
+    except (dat.FeatureFormatError, dat.ManifestFormatError, mdl.CheckpointFormatError,
+            trn.DegenerateDatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

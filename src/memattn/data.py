@@ -1,10 +1,8 @@
-"""Feature files, dataset manifests, image handling and synthetic data.
+"""Feature files, dataset manifests, heatmap output and synthetic data.
 
 Feature files are a small binary format (magic "AMFT"): header with the
 grid dimensions, then W*H*D little-endian float32 values, location-major.
-Manifests are JSON. Images move through the pipeline as uint8 numpy
-arrays of shape (height, width, 3); only PPM (P6) input and PGM (P5)
-output are supported.
+Manifests are JSON. The only image format is PGM (P5) output.
 """
 from __future__ import annotations
 
@@ -18,11 +16,14 @@ import numpy as np
 
 FEATURE_MAGIC = b"AMFT"
 FEATURE_VERSION = 1
-CROP_SIZE = 224
 SPLITS = ("train", "val", "test")
 
 
 class FeatureFormatError(ValueError):
+    pass
+
+
+class ManifestFormatError(ValueError):
     pass
 
 
@@ -110,21 +111,42 @@ def save_manifest(path, manifest: Manifest) -> None:
         json.dump(payload, f, indent=1)
 
 
+def _manifest_from_json(payload) -> Manifest:
+    """ValueError unless payload has exactly the shape save_manifest writes."""
+    if not isinstance(payload, dict) or set(payload) != {"w", "h", "d", "records"}:
+        raise ValueError("top level must be an object with keys w, h, d, records")
+    for key in ("w", "h", "d"):
+        if type(payload[key]) is not int or payload[key] < 1:
+            raise ValueError(f"{key} must be a positive int, got {payload[key]!r}")
+    if not isinstance(payload["records"], list):
+        raise ValueError("records must be a list")
+    records = []
+    for i, r in enumerate(payload["records"]):
+        if not (isinstance(r, dict)
+                and {"id", "path", "split"} <= r.keys() <= {"id", "path", "score", "split"}):
+            raise ValueError(f"record {i} must be an object with keys id, path, split "
+                             f"and an optional score")
+        for key in ("id", "path", "split"):
+            if type(r[key]) is not str or "\0" in r[key]:
+                raise ValueError(f"record {i}: {key} must be a string without NUL, "
+                                 f"got {r[key]!r}")
+        score = r.get("score")
+        if score is not None and type(score) not in (int, float):
+            raise ValueError(f"record {i}: score must be a number, got {score!r}")
+        records.append(ManifestRecord(id=r["id"], path=r["path"], score=score,
+                                      split=r["split"]))
+    return Manifest(w=payload["w"], h=payload["h"], d=payload["d"], records=records)
+
+
 def load_manifest(path) -> Manifest:
-    with open(path) as f:
-        payload = json.load(f)
-    manifest = Manifest(
-        w=int(payload["w"]),
-        h=int(payload["h"]),
-        d=int(payload["d"]),
-        records=[
-            ManifestRecord(
-                id=r["id"], path=r["path"], score=r.get("score"), split=r["split"]
-            )
-            for r in payload["records"]
-        ],
-    )
-    manifest.validate()
+    """The validated manifest; any deviation raises ManifestFormatError naming path."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        manifest = _manifest_from_json(json.loads(blob))
+        manifest.validate()
+    except ValueError as exc:  # JSON and UTF-8 decode errors included
+        raise ManifestFormatError(f"{path}: {exc}") from None
     return manifest
 
 
@@ -141,45 +163,16 @@ def load_record(manifest: Manifest, manifest_dir, record: ManifestRecord) -> Fea
 
 
 def load_split(manifest: Manifest, manifest_dir, split: str) -> list[FeatureRecord]:
-    return [load_record(manifest, manifest_dir, r) for r in manifest.split_records(split)]
+    """The split's feature records; training and evaluation need every score."""
+    records = manifest.split_records(split)
+    for r in records:
+        if r.score is None:
+            raise ManifestFormatError(f"manifest: record {r.id!r} in split {split!r} "
+                                      f"has no score")
+    return [load_record(manifest, manifest_dir, r) for r in records]
 
 
-# --- images -----------------------------------------------------------------
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-
-    tokens = []
-    i = 0
-    while len(tokens) < 4:
-        while i < len(blob) and blob[i : i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i : i + 1] == b"#":
-            while i < len(blob) and blob[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(blob) and not blob[i : i + 1].isspace():
-            i += 1
-        tokens.append(blob[start:i])
-    if tokens[0] != b"P6":
-        raise FeatureFormatError(f"{path}: not a P6 PPM file")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise FeatureFormatError(f"{path}: unsupported maxval {maxval}")
-    i += 1  # single whitespace after maxval
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=width * height * 3, offset=i)
-    return pixels.reshape(height, width, 3).copy()
-
-
-def write_ppm(path, img: np.ndarray) -> None:
-    img = np.asarray(img, dtype=np.uint8)
-    h, w, _ = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(img.tobytes())
+# --- heatmap images ---------------------------------------------------------
 
 
 def write_pgm(path, img: np.ndarray) -> None:
@@ -191,9 +184,9 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resampling on a uniform grid; works for 2-D and HxWxC."""
+    """Bilinear resampling of a 2-D array on a uniform grid."""
     img = np.asarray(img, dtype=np.float64)
-    in_h, in_w = img.shape[:2]
+    in_h, in_w = img.shape
     ys = np.linspace(0.0, in_h - 1.0, out_h) if out_h > 1 else np.zeros(1)
     xs = np.linspace(0.0, in_w - 1.0, out_w) if out_w > 1 else np.zeros(1)
     y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
@@ -202,79 +195,9 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
-    if img.ndim == 3:
-        wy = wy[..., None]
-        wx = wx[..., None]
     top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
     bottom = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
     return top * (1 - wy) + bottom * wy
-
-
-def sample_crop_rect(rng, img_h: int, img_w: int):
-    """Random-area/random-aspect crop rectangle; None if out of bounds."""
-    area = img_h * img_w * rng.uniform(0.08, 1.0)
-    aspect = math.exp(rng.uniform(math.log(3.0 / 4.0), math.log(4.0 / 3.0)))
-    crop_w = int(round(math.sqrt(area * aspect)))
-    crop_h = int(round(math.sqrt(area / aspect)))
-    if 0 < crop_w <= img_w and 0 < crop_h <= img_h:
-        top = int(rng.integers(0, img_h - crop_h + 1))
-        left = int(rng.integers(0, img_w - crop_w + 1))
-        return top, left, crop_h, crop_w
-    return None
-
-
-def resized_crop(img: np.ndarray, rect, size: int = CROP_SIZE) -> np.ndarray:
-    top, left, crop_h, crop_w = rect
-    patch = img[top : top + crop_h, left : left + crop_w]
-    out = bilinear_resize(patch, size, size)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-
-
-def random_resized_crop(img: np.ndarray, rng, size: int = CROP_SIZE) -> np.ndarray:
-    """Training crop: 10 attempts at a random rect, center-crop fallback."""
-    img_h, img_w = img.shape[:2]
-    for _ in range(10):
-        rect = sample_crop_rect(rng, img_h, img_w)
-        if rect is not None:
-            return resized_crop(img, rect, size)
-    return center_crop(img, size)
-
-
-def horizontal_flip(img: np.ndarray, rng) -> np.ndarray:
-    if rng.random() < 0.5:
-        return img[:, ::-1].copy()
-    return img
-
-
-def center_crop(img: np.ndarray, size: int = CROP_SIZE) -> np.ndarray:
-    """Shortest-side resize to `size`, then the central size x size window."""
-    img_h, img_w = img.shape[:2]
-    short = min(img_h, img_w)
-    if short != size:
-        scale = size / short
-        new_h = max(size, int(round(img_h * scale)))
-        new_w = max(size, int(round(img_w * scale)))
-        img = np.clip(np.rint(bilinear_resize(img, new_h, new_w)), 0, 255).astype(np.uint8)
-        img_h, img_w = new_h, new_w
-    top = (img_h - size) // 2
-    left = (img_w - size) // 2
-    return img[top : top + size, left : left + size].copy()
-
-
-# --- toy feature extractor ---------------------------------------------------
-
-
-def toy_extract(img: np.ndarray, extractor_seed: int, d_out: int = 32) -> np.ndarray:
-    """Frozen stand-in for a CNN layer: fixed random channel projection,
-    rectification, 16x16 average pooling down to a 14x14 grid."""
-    img = np.asarray(img)
-    if img.shape != (CROP_SIZE, CROP_SIZE, 3):
-        raise ValueError(f"toy_extract: expected 224x224x3 image, got {img.shape}")
-    rng = np.random.default_rng(extractor_seed)
-    projection = rng.normal(size=(3, d_out)) / math.sqrt(3.0)
-    x = np.maximum(img.astype(np.float64) / 255.0 @ projection, 0.0)
-    pooled = x.reshape(14, 16, 14, 16, d_out).mean(axis=(1, 3))
-    return pooled.reshape(14 * 14, d_out)
 
 
 # --- synthetic planted-signal dataset ---------------------------------------
@@ -286,7 +209,6 @@ class SynthSecret:
 
     weights: np.ndarray            # (d-1,) score weights on the planted vector
     planted: dict[str, int]        # id -> planted location index
-    raw: dict[str, float]          # id -> noise-free raw signal in (-1, 1)
 
 
 BEACON_VALUE = 3.0
@@ -320,7 +242,6 @@ def synth_dataset(
     n_val = int(n * 0.15)
     records = []
     planted = {}
-    raw = {}
     for i in range(n):
         sample_id = f"synth{i:05d}"
         x = rng.normal(0.0, 0.3, size=(L, d))
@@ -336,8 +257,7 @@ def synth_dataset(
         split = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
         records.append(ManifestRecord(id=sample_id, path=rel_path, score=score, split=split))
         planted[sample_id] = j
-        raw[sample_id] = signal
 
     manifest = Manifest(w=w, h=h, d=d, records=records)
     save_manifest(os.path.join(out_dir, "manifest.json"), manifest)
-    return manifest, SynthSecret(weights=weights, planted=planted, raw=raw)
+    return manifest, SynthSecret(weights=weights, planted=planted)

@@ -125,7 +125,6 @@ class ForwardTrace:
     """Per-step intermediates kept as graph nodes so losses can reuse them."""
 
     alpha: list[Tensor]
-    z: list[Tensor]
     m: list[Tensor]
     y: Tensor
 
@@ -208,7 +207,7 @@ def forward(x, params: ModelParams, training: bool = False, rng=None) -> Forward
     x = _as_tensor(x)
     h, c = init_state(x, params)
     keys = attention_keys(x, params)
-    alphas, zs, ms = [], [], []
+    alphas, ms = [], []
     y = None
     for _ in range(cfg.t):
         e = attention_scores(keys, h, params)
@@ -218,10 +217,9 @@ def forward(x, params: ModelParams, training: bool = False, rng=None) -> Forward
         h, c = lstm_step(z, h, c, params)
         m = discrete_score(h, params, training=training, rng=rng)
         alphas.append(alpha)
-        zs.append(z)
         ms.append(m)
         y = m if y is None else ag.add(y, m)
-    return ForwardTrace(alpha=alphas, z=zs, m=ms, y=y)
+    return ForwardTrace(alpha=alphas, m=ms, y=y)
 
 
 def attention_penalty(alphas: list[Tensor]) -> Tensor:
@@ -233,8 +231,11 @@ def attention_penalty(alphas: list[Tensor]) -> Tensor:
     return ag.dot(s, s)
 
 
-def save_checkpoint(path, params: ModelParams, norm: dict | None = None) -> None:
-    """Binary checkpoint: magic, version, JSON meta block, named f64 params."""
+def save_checkpoint(path, params: ModelParams, norm: dict) -> None:
+    """Binary checkpoint: magic, version, JSON meta block, named f64 params.
+
+    norm is the score normalization {"mean", "half_range"} of ScoreNorm.as_dict.
+    """
     meta = {"config": asdict(params.config), "norm": norm}
     meta_bytes = json.dumps(meta).encode("utf-8")
     with open(path, "wb") as f:
@@ -269,7 +270,7 @@ def check_config_fields(cls, block: dict) -> None:
 
 
 def _checkpoint_meta(path, meta_bytes: bytes):
-    """(ModelConfig, norm dict or None) from the JSON meta block."""
+    """(ModelConfig, norm dict) from the JSON meta block."""
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError as exc:
@@ -289,18 +290,18 @@ def _checkpoint_meta(path, meta_bytes: bytes):
         config.validate()
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: meta config: {exc}") from None
-    if norm is not None and not (
+    if not (
         isinstance(norm, dict) and set(norm) == {"mean", "half_range"}
         and all(type(v) is float and math.isfinite(v) for v in norm.values())
         and norm["half_range"] > 0
     ):
-        raise CheckpointFormatError(f"{path}: meta norm must be null or a finite mean "
-                                    f"and positive half_range, got {norm!r}")
+        raise CheckpointFormatError(f"{path}: meta norm must be a finite mean and "
+                                    f"positive half_range, got {norm!r}")
     return config, norm
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, norm dict or None).
+    """Returns (ModelParams, norm dict).
 
     The parameters must be exactly those of the stored config, in order,
     with finite values, and end the file.

@@ -172,8 +172,8 @@ def test_invariance_suite_alpha_and_disabled_attention():
     params_off = mdl.init_params(cfg_off)
     trace_off = mdl.forward(x, params_off)
     xbar = x.mean(axis=0)
-    for z in trace_off.z:
-        ok = ok and np.allclose(z.data, xbar, atol=1e-12)
+    for alpha in trace_off.alpha:
+        ok = ok and np.allclose(mdl.attend(x, alpha).data, xbar, atol=1e-12)
     report("attention maps normalized; disabled attention sees the mean", ok)
 
 
@@ -189,22 +189,13 @@ def test_invariance_suite_rho_monotone_transform():
     report("rank correlation invariant under monotone transforms", ok)
 
 
-def test_invariance_suite_flip_and_feature_roundtrip(tmp_path):
+def test_invariance_suite_feature_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
-    img = rng.integers(0, 256, size=(10, 12, 3), dtype=np.uint8)
-
-    class AlwaysFlip:
-        def random(self):
-            return 0.0
-
-    flipped = dat.horizontal_flip(img, AlwaysFlip())
-    ok = np.array_equal(dat.horizontal_flip(flipped, AlwaysFlip()), img)
-
     features = rng.normal(size=(6, 4)).astype(np.float32).astype(np.float64)
     path = tmp_path / "roundtrip.amft"
     dat.write_feature_file(path, features, w=3, h=2)
-    ok = ok and np.array_equal(dat.load_feature_file(path)[3], features)
-    report("flip involution and bit-exact feature roundtrip", ok)
+    ok = np.array_equal(dat.load_feature_file(path)[3], features)
+    report("bit-exact feature roundtrip", ok)
 
 
 def test_early_stopping_contract(tmp_path):

@@ -57,6 +57,15 @@ def test_tanh_odd_and_saturation():
     assert abs(ag.tanh(ag.constant(50.0)).item() - 1.0) < 1e-12
 
 
+def test_sigmoid_saturation_and_non_finite():
+    # exp(1000) overflows to inf; the limit 0 is exact and raises no warning
+    y = ag.sigmoid(ag.constant(np.array([-1000.0, 0.0, 1000.0]))).data
+    np.testing.assert_array_equal(y, [0.0, 0.5, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ag.NonFiniteError):
+            ag.sigmoid(ag.constant(np.array([0.0, bad])))
+
+
 def test_tanh_rejects_non_finite():
     with pytest.raises(ValueError):
         ag.tanh(ag.constant(np.array([np.nan])))

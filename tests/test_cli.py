@@ -337,7 +337,8 @@ def test_bad_checkpoint_magic_is_io_error(workspace, tmp_path, capsys):
     assert code == EXIT_IO
 
 
-@pytest.mark.parametrize("text", ["{bad", "[1]", '{"model": [1]}', '{"train": 3}'])
+@pytest.mark.parametrize("text", ["{bad", "[1]", '{"model": [1]}', '{"train": 3}',
+                                  '{"modle": {"t": 1}, "trian": {"max_epochs": 1}}'])
 def test_malformed_config_file_is_usage_error(workspace, tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -364,6 +365,37 @@ def test_truncated_checkpoint_is_io_error(workspace, tmp_path, monkeypatch, caps
     assert str(cut) in err and "truncated" in err
 
 
+MANIFEST_FAULTS = {
+    "not JSON": lambda payload: "{bad",
+    "not an object": lambda payload: "[1]",
+    "record without path": lambda payload: json.dumps(
+        {**payload, "records": [{"id": "a", "split": "train"}]}),
+    "duplicate ids": lambda payload: json.dumps(
+        {**payload, "records": payload["records"] + payload["records"][:1]}),
+    "train scores all equal": lambda payload: json.dumps({**payload, "records": [
+        {**r, "score": 0.5} if r["split"] == "train" else r for r in payload["records"]]}),
+    "train record without score": lambda payload: json.dumps({**payload, "records": [
+        {k: v for k, v in payload["records"][0].items() if k != "score"},
+        *payload["records"][1:]]}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+def test_bad_manifest_is_io_error(workspace, tmp_path, capsys, fault):
+    with open(workspace["manifest"]) as f:
+        payload = json.load(f)
+    data_dir = os.path.dirname(workspace["manifest"])
+    for r in payload["records"]:
+        r["path"] = os.path.join(data_dir, r["path"])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(MANIFEST_FAULTS[fault](payload))
+    code, _, err = run(capsys, ["train", "--manifest", str(manifest),
+                                "--out", str(tmp_path / "run")])
+    assert code == EXIT_IO
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_non_finite_train_feature_is_io_error(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path), "--n", "20",
                  "--w", "2", "--h", "2", "--d", "4"]) == EXIT_OK
@@ -382,8 +414,8 @@ def test_non_finite_train_feature_is_io_error(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def mutants(workspace, tmp_path_factory):
-    """A directory whose manifest reads its first test record from mutant.amft,
-    and the valid bytes of that file and of the checkpoint."""
+    """A directory whose manifest mutant.json reads its first test record from
+    mutant.amft, and the valid bytes of those two files and of the checkpoint."""
     root = tmp_path_factory.mktemp("mutants")
     data_dir = os.path.dirname(workspace["manifest"])
     manifest = dat.load_manifest(workspace["manifest"])
@@ -394,8 +426,8 @@ def mutants(workspace, tmp_path_factory):
         amwt = f.read()
     for r in manifest.records:
         r.path = "mutant.amft" if r is first else os.path.join(data_dir, r.path)
-    dat.save_manifest(root / "manifest.json", manifest)
-    return root, {"amft": amft, "amwt": amwt}
+    dat.save_manifest(root / "mutant.json", manifest)
+    return root, {"amft": amft, "amwt": amwt, "json": (root / "mutant.json").read_bytes()}
 
 
 @settings(deadline=None, max_examples=50)
@@ -405,7 +437,7 @@ def test_mutated_input_files_fail_cleanly(mutants, data):
     target = data.draw(st.sampled_from(sorted(valid)), label="file")
     blob = bytearray(valid[target])
     kind = data.draw(st.sampled_from(["overwrite", "truncate", "append"]), label="kind")
-    # both headers and the checkpoint's meta block lie in the first 256 bytes
+    # the binary headers and the checkpoint's meta block lie in the first 256 bytes
     pos = data.draw(st.integers(0, min(255, len(blob) - 1))
                     | st.integers(0, len(blob) - 1), label="pos")
     if kind == "overwrite":
@@ -421,7 +453,7 @@ def test_mutated_input_files_fail_cleanly(mutants, data):
     # an exception escaping main fails the test with its traceback
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["eval", "--checkpoint", str(root / "mutant.amwt"),
-                     "--manifest", str(root / "manifest.json")])
+                     "--manifest", str(root / "mutant.json")])
     err = err.getvalue()
     # 3: mutated weights made every prediction equal, or overflowed the forward pass
     assert code in (EXIT_OK, EXIT_IO, EXIT_VERIFY), err

@@ -1,9 +1,8 @@
+import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from memattn import data as dat
 from memattn.metrics import spearman_rho
@@ -96,6 +95,61 @@ def test_manifest_score_range_enforced():
         manifest.validate()
 
 
+def manifest_bytes(records=None, **top):
+    """A one-record manifest as save_manifest writes it, with top-level keys replaced."""
+    payload = {"w": 1, "h": 1, "d": 1, "records": [record()] if records is None else records}
+    payload.update(top)
+    return json.dumps(payload).encode()
+
+
+def record(**fields):
+    return {"id": "a", "path": "a.amft", "score": 0.5, "split": "train", **fields}
+
+
+BAD_MANIFESTS = {
+    "not JSON": b"{bad",
+    "not UTF-8": manifest_bytes().replace(b'"a"', b'"\xff"'),
+    "not an object": b"[1]",
+    "missing records": b'{"w": 1, "h": 1, "d": 1}',
+    "unknown top-level key": manifest_bytes(extra=1),
+    "w string": manifest_bytes(w="2"),
+    "w float": manifest_bytes(w=2.0),
+    "w bool": manifest_bytes(w=True),
+    "d zero": manifest_bytes(d=0),
+    "records not a list": manifest_bytes(records={}),
+    "record not an object": manifest_bytes(records=[1]),
+    "record without path": manifest_bytes(records=[{"id": "a", "split": "train"}]),
+    "record unknown key": manifest_bytes(records=[record(label=1)]),
+    "id not a string": manifest_bytes(records=[record(id=1)]),
+    "split null": manifest_bytes(records=[record(split=None)]),
+    "path with NUL": manifest_bytes(records=[record(path="a\0b")]),
+    "score bool": manifest_bytes(records=[record(score=True)]),
+    "score string": manifest_bytes(records=[record(score="0.5")]),
+    "duplicate ids": manifest_bytes(records=[record(), record(path="b.amft")]),
+    "unknown split": manifest_bytes(records=[record(split="dev")]),
+    "score outside [0, 1]": manifest_bytes(records=[record(score=1.5)]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_MANIFESTS))
+def test_malformed_manifest_is_format_error(tmp_path, fault):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(BAD_MANIFESTS[fault])
+    with pytest.raises(dat.ManifestFormatError) as info:
+        dat.load_manifest(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_split_needs_scores(tmp_path):
+    dat.write_feature_file(tmp_path / "a.amft", np.zeros((1, 1)), w=1, h=1)
+    manifest = dat.Manifest(w=1, h=1, d=1, records=[
+        dat.ManifestRecord(id="a", path="a.amft", score=None, split="train"),
+    ])
+    assert dat.load_split(manifest, tmp_path, "test") == []
+    with pytest.raises(dat.ManifestFormatError, match="'a'.*no score"):
+        dat.load_split(manifest, tmp_path, "train")
+
+
 def test_load_split_checks_dims(tmp_path):
     dat.write_feature_file(tmp_path / "a.amft", np.zeros((4, 3)), w=2, h=2)
     manifest = dat.Manifest(w=2, h=2, d=9, records=[
@@ -105,23 +159,7 @@ def test_load_split_checks_dims(tmp_path):
         dat.load_split(manifest, tmp_path, "train")
 
 
-# --- image codecs -----------------------------------------------------------
-
-def test_ppm_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    img = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-    path = tmp_path / "img.ppm"
-    dat.write_ppm(path, img)
-    np.testing.assert_array_equal(dat.read_ppm(path), img)
-
-
-def test_ppm_with_comment(tmp_path):
-    img = np.zeros((2, 2, 3), dtype=np.uint8)
-    blob = b"P6\n# a comment\n2 2\n255\n" + img.tobytes()
-    path = tmp_path / "c.ppm"
-    path.write_bytes(blob)
-    np.testing.assert_array_equal(dat.read_ppm(path), img)
-
+# --- heatmap images ---------------------------------------------------------
 
 def test_pgm_header(tmp_path):
     img = np.arange(6, dtype=np.uint8).reshape(2, 3)
@@ -130,118 +168,6 @@ def test_pgm_header(tmp_path):
     blob = path.read_bytes()
     assert blob.startswith(b"P5\n3 2\n255\n")
     assert blob[-6:] == img.tobytes()
-
-
-# --- augmentation -----------------------------------------------------------
-
-def make_image(h=300, w=400, seed=2):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-
-
-def test_identity_crop_returns_input():
-    img = make_image(224, 224)
-    out = dat.resized_crop(img, (0, 0, 224, 224), 224)
-    np.testing.assert_array_equal(out, img)
-
-
-def test_random_resized_crop_output_dims():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        out = dat.random_resized_crop(make_image(), rng)
-        assert out.shape == (224, 224, 3)
-        assert out.dtype == np.uint8
-
-
-def test_random_resized_crop_deterministic_rect():
-    rect_a = dat.sample_crop_rect(np.random.default_rng(4), 300, 400)
-    rect_b = dat.sample_crop_rect(np.random.default_rng(4), 300, 400)
-    assert rect_a == rect_b
-
-
-def test_random_resized_crop_tiny_image_fallback():
-    rng = np.random.default_rng(5)
-    out = dat.random_resized_crop(make_image(1, 1), rng)
-    assert out.shape == (224, 224, 3)
-
-
-@settings(deadline=None, max_examples=20)
-@given(st.integers(min_value=0, max_value=2 ** 31))
-def test_flip_involution(seed):
-    img = make_image(8, 9, seed=seed % 100)
-
-    class AlwaysFlip:
-        def random(self):
-            return 0.0
-
-    flipped = dat.horizontal_flip(img, AlwaysFlip())
-    np.testing.assert_array_equal(dat.horizontal_flip(flipped, AlwaysFlip()), img)
-
-
-def test_flip_reverses_column_gradient():
-    img = np.tile(np.arange(10, dtype=np.uint8)[None, :, None], (4, 1, 3))
-
-    class AlwaysFlip:
-        def random(self):
-            return 0.0
-
-    flipped = dat.horizontal_flip(img, AlwaysFlip())
-    np.testing.assert_array_equal(flipped[:, :, 0], img[:, ::-1, 0])
-
-
-def test_flip_seeded_reproducible():
-    img = make_image(8, 8)
-    a = dat.horizontal_flip(img, np.random.default_rng(6))
-    b = dat.horizontal_flip(img, np.random.default_rng(6))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_center_crop_identity():
-    img = make_image(224, 224)
-    np.testing.assert_array_equal(dat.center_crop(img), img)
-
-
-def test_center_crop_middle_columns():
-    img = make_image(224, 448)
-    np.testing.assert_array_equal(dat.center_crop(img), img[:, 112:336])
-
-
-def test_center_crop_odd_excess_offset():
-    img = make_image(225, 224)
-    np.testing.assert_array_equal(dat.center_crop(img), img[0:224, :])
-
-
-# --- toy extractor ----------------------------------------------------------
-
-def test_toy_extract_constant_image_uniform_features():
-    img = np.full((224, 224, 3), 130, dtype=np.uint8)
-    features = dat.toy_extract(img, extractor_seed=0)
-    assert features.shape == (196, 32)
-    np.testing.assert_allclose(features, np.tile(features[0], (196, 1)), atol=1e-12)
-
-
-def test_toy_extract_deterministic():
-    img = make_image(224, 224, seed=7)
-    a = dat.toy_extract(img, extractor_seed=1)
-    b = dat.toy_extract(img, extractor_seed=1)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_toy_extract_rejects_wrong_dims():
-    with pytest.raises(ValueError):
-        dat.toy_extract(np.zeros((100, 100, 3), dtype=np.uint8), 0)
-
-
-def test_toy_extract_pooling_oracle():
-    # block-constant image: each 16x16 block pools to its own value exactly
-    blocks = np.random.default_rng(8).integers(0, 256, size=(14, 14))
-    img = np.repeat(np.repeat(blocks, 16, axis=0), 16, axis=1)
-    img = np.stack([img] * 3, axis=-1).astype(np.uint8)
-    features = dat.toy_extract(img, extractor_seed=2)
-    rng = np.random.default_rng(2)
-    projection = rng.normal(size=(3, 32)) / np.sqrt(3.0)
-    pixel = np.maximum((blocks[..., None] / 255.0 * np.ones(3)) @ projection, 0.0)
-    np.testing.assert_allclose(features, pixel.reshape(196, 32), atol=1e-12)
 
 
 # --- synthetic dataset ------------------------------------------------------

@@ -293,11 +293,12 @@ def test_forward_attention_disabled_uniform_and_mean_context():
     trace = mdl.forward(x, params)
     L = cfg.num_locations
     xbar = x.mean(axis=0)
-    for alpha, z in zip(trace.alpha, trace.z):
+    zs = [mdl.attend(x, alpha).data for alpha in trace.alpha]
+    for alpha, z in zip(trace.alpha, zs):
         np.testing.assert_array_equal(alpha.data, np.full(L, 1.0 / L))
-        np.testing.assert_allclose(z.data, xbar, atol=1e-12)
-    np.testing.assert_array_equal(trace.z[0].data, trace.z[1].data)
-    np.testing.assert_array_equal(trace.z[1].data, trace.z[2].data)
+        np.testing.assert_allclose(z, xbar, atol=1e-12)
+    np.testing.assert_array_equal(zs[0], zs[1])
+    np.testing.assert_array_equal(zs[1], zs[2])
 
 
 def test_forward_eval_mode_deterministic():
@@ -325,8 +326,8 @@ def test_forward_permutation_covariance():
     permuted = mdl.forward(x[perm], params_perm)
     for a_base, a_perm in zip(base.alpha, permuted.alpha):
         np.testing.assert_allclose(a_perm.data, a_base.data[perm], atol=1e-10)
-    for z_base, z_perm in zip(base.z, permuted.z):
-        np.testing.assert_allclose(z_perm.data, z_base.data, atol=1e-10)
+        np.testing.assert_allclose(mdl.attend(x[perm], a_perm).data,
+                                   mdl.attend(x, a_base).data, atol=1e-10)
     np.testing.assert_allclose(
         permuted.m_values(), base.m_values(), atol=1e-10)
     assert abs(permuted.y_value() - base.y_value()) < 1e-10
@@ -410,15 +411,17 @@ def test_forward_computes_keys_once(monkeypatch, enabled, expected):
 
 # --- checkpoints ------------------------------------------------------------
 
+NORM = {"mean": 0.5, "half_range": 0.3}
+
+
 def test_checkpoint_roundtrip(tmp_path):
     cfg = tiny_config()
     params = mdl.init_params(cfg)
-    norm = {"mean": 0.5, "half_range": 0.3}
     path = tmp_path / "model.amwt"
-    mdl.save_checkpoint(path, params, norm=norm)
+    mdl.save_checkpoint(path, params, norm=NORM)
     loaded, loaded_norm = mdl.load_checkpoint(path)
     assert loaded.config == cfg
-    assert loaded_norm == norm
+    assert loaded_norm == NORM
     for a, b in zip(params.params(), loaded.params()):
         assert a.name == b.name
         np.testing.assert_array_equal(a.data, b.data)
@@ -433,7 +436,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_magic_and_version_layout(tmp_path):
     path = tmp_path / "model.amwt"
-    mdl.save_checkpoint(path, mdl.init_params(tiny_config()))
+    mdl.save_checkpoint(path, mdl.init_params(tiny_config()), norm=NORM)
     blob = path.read_bytes()
     assert blob[:4] == b"AMWT"
     assert int.from_bytes(blob[4:8], "little") == 1
@@ -469,6 +472,7 @@ CORRUPTIONS = {
     "config invalid": lambda b: edited_meta(b, lambda m: m["config"].update(t=0)),
     "config shape mismatch": lambda b: edited_meta(b, lambda m: m["config"].update(d=9)),
     "norm missing key": lambda b: edited_meta(b, lambda m: m["norm"].pop("mean")),
+    "norm null": lambda b: edited_meta(b, lambda m: m.update(norm=None)),
     "parameter renamed": lambda b: b.replace(b"att_U", b"att_V", 1),
     "trailing bytes": lambda b: b + b"\0\0",
 }
@@ -477,7 +481,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_checkpoint_corruption_is_format_error(tmp_path, corruption):
     path = tmp_path / "model.amwt"
-    mdl.save_checkpoint(path, mdl.init_params(tiny_config()), norm={"mean": 0.5, "half_range": 0.3})
+    mdl.save_checkpoint(path, mdl.init_params(tiny_config()), norm=NORM)
     path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
     with pytest.raises(mdl.CheckpointFormatError):
         mdl.load_checkpoint(path)
@@ -487,7 +491,7 @@ def test_checkpoint_non_finite_weights_rejected(tmp_path):
     params = mdl.init_params(tiny_config())
     params["lstm_Wf"].data[1, 2] = np.nan
     path = tmp_path / "model.amwt"
-    mdl.save_checkpoint(path, params)
+    mdl.save_checkpoint(path, params, norm=NORM)
     with pytest.raises(mdl.CheckpointFormatError, match="lstm_Wf.*non-finite") as info:
         mdl.load_checkpoint(path)
     assert str(path) in str(info.value)
