@@ -1,12 +1,14 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-Only the shapes the model needs are supported: scalars, vectors and
-matrices. Every op returns a fresh Tensor whose grad is None. Only a
-Param owns a grad buffer from construction; `Tensor.backward` gives a
-zero buffer to each node that some Param reaches, and runs only those
-nodes' closures. A closure *adds* into the parents that have a buffer,
-so constant inputs get no gradient work and Param grads accumulate
-across samples until zero_grads.
+Model tensors carry a leading batch axis: a pass over N samples builds
+one graph whose nodes hold (N, ...) arrays, and every contraction is a
+2-D matrix product. Every op returns a fresh Tensor whose grad is None.
+Only a Param owns a grad buffer from construction. `Tensor.backward`
+marks each node that some Param reaches, runs only those nodes'
+closures, and gives a marked node its buffer on the first gradient added
+to it and drops it once the node's own closure has run. A closure *adds*
+into the parents that are marked or own a buffer, so constant inputs get
+no gradient work and Param grads accumulate until zero_grads.
 """
 from __future__ import annotations
 
@@ -21,9 +23,10 @@ __all__ = [
     "constant",
     "zero_grads",
     "matmul",
+    "linear",
     "matvec",
     "vecmat",
-    "transpose",
+    "batch_vecmat",
     "add",
     "mul",
     "scale",
@@ -31,9 +34,7 @@ __all__ = [
     "sigmoid",
     "relu",
     "softmax_vec",
-    "mean_rows",
-    "row_sums",
-    "vec_sum",
+    "tanh_logits",
     "dot",
     "concat",
     "dropout",
@@ -70,14 +71,13 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def backward(self):
         """Add d(self)/d(param) into the grad of every Param self depends on.
 
-        self must be scalar-shaped; the seed gradient is 1. Intermediate
-        nodes get fresh zero buffers, so a second backward through the
-        same graph adds the same amounts again.
+        self must be scalar-shaped; the seed gradient is 1. A second
+        backward through the same graph adds the same amounts again.
         """
         order = []
         seen = set()
@@ -100,17 +100,24 @@ class Tensor:
                 node.grad = None
                 for parent in node._parents:
                     if parent.grad is not None:
-                        node.grad = np.zeros(node.data.shape)
+                        node.grad = _UNSET
                         break
         if self.grad is None:
             return
-        self.grad += 1.0
+        self.grad += np.ones(self.data.shape)
         for node in reversed(order):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+            if node._parents:
+                if node.grad is not None and node.grad is not _UNSET:
+                    node._backward(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
+
+
+# The grad of a node that backward has reached but no gradient has been
+# added to yet; `grad += g` on it yields a fresh array.
+_UNSET = 0.0
 
 
 class Param(Tensor):
@@ -138,7 +145,7 @@ def zero_grads(params) -> None:
 
 
 def _require_finite(t: Tensor, op: str) -> None:
-    if not np.all(np.isfinite(t.data)):
+    if not np.isfinite(t.data).all():
         raise NonFiniteError(f"{op}: non-finite input")
 
 
@@ -152,6 +159,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a.grad += g @ b.data.T
         if b.grad is not None:
             b.grad += a.data.T @ g
+
+    out._backward = backward
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x W^T + b for the (N, k) batch x, the (out, k) weight W and the
+    optional (out,) bias b; W's gradient is built in W's own layout."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]
+            or (b is not None and b.shape != w.shape[:1])):
+        raise DimensionError(f"linear: incompatible shapes {x.shape}, {w.shape}"
+                             f"{'' if b is None else f', {b.shape}'}")
+    y = x.data @ w.data.T
+    if b is not None:
+        y += b.data
+    out = Tensor(y, (x, w) if b is None else (x, w, b))
+
+    def backward(g):
+        if x.grad is not None:
+            x.grad += g @ w.data
+        if w.grad is not None:
+            # one sample's rank-1 product is faster as a broadcast than as a
+            # matrix product (256x512: 0.24 against 0.38 ms)
+            w.grad += g.T * x.data if len(g) == 1 else g.T @ x.data
+        if b is not None and b.grad is not None:
+            b.grad += g.sum(axis=0)
 
     out._backward = backward
     return out
@@ -187,40 +220,35 @@ def vecmat(x: Tensor, a: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose: expected matrix, got {a.shape}")
-    out = Tensor(a.data.T, (a,))
+def batch_vecmat(alpha: Tensor, x: Tensor) -> Tensor:
+    """Per-sample alpha-weighted sum of rows: (N, L) x (N, L, D) -> (N, D)."""
+    if alpha.data.ndim != 2 or x.data.ndim != 3 or alpha.shape != x.shape[:2]:
+        raise DimensionError(f"batch_vecmat: incompatible shapes {alpha.shape} x {x.shape}")
+    out = Tensor(np.matmul(alpha.data[:, None, :], x.data)[:, 0, :], (alpha, x))
 
     def backward(g):
-        a.grad += g.T
+        if alpha.grad is not None:
+            alpha.grad += np.matmul(x.data, g[:, :, None])[:, :, 0]
+        if x.grad is not None:
+            x.grad += alpha.data[:, :, None] * g[:, None, :]
 
     out._backward = backward
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also supports matrix + row-vector broadcast."""
-    if a.shape == b.shape:
-        out = Tensor(a.data + b.data, (a, b))
+    """Elementwise sum; b may also match only the trailing axes of a."""
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if a_shape[len(a_shape) - len(b_shape):] != b_shape:
+        raise DimensionError(f"add: incompatible shapes {a_shape} + {b_shape}")
+    out = Tensor(a.data + b.data, (a, b))
 
-        def backward(g):
-            if a.grad is not None:
-                a.grad += g
-            if b.grad is not None:
-                b.grad += g
+    def backward(g):
+        if a.grad is not None:
+            a.grad += g
+        if b.grad is not None:
+            b.grad += g if a_shape == b_shape else g.reshape(-1, *b_shape).sum(axis=0)
 
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor(a.data + b.data, (a, b))
-
-        def backward(g):
-            if a.grad is not None:
-                a.grad += g
-            if b.grad is not None:
-                b.grad += g.sum(axis=0)
-
-    else:
-        raise DimensionError(f"add: incompatible shapes {a.shape} + {b.shape}")
     out._backward = backward
     return out
 
@@ -292,62 +320,58 @@ def relu(a: Tensor) -> Tensor:
 
 
 def softmax_vec(e: Tensor) -> Tensor:
-    if e.data.ndim != 1 or e.shape[0] < 1:
-        raise ValueError(f"softmax_vec: expected non-empty vector, got shape {e.shape}")
+    """Softmax over the last axis."""
+    if e.data.ndim < 1 or e.shape[-1] < 1:
+        raise ValueError(f"softmax_vec: expected a non-empty last axis, got shape {e.shape}")
     _require_finite(e, "softmax_vec")
-    shifted = e.data - e.data.max()
-    exp = np.exp(shifted)
-    p = exp / exp.sum()
+    exp = np.exp(e.data - e.data.max(axis=-1, keepdims=True))
+    p = exp / exp.sum(axis=-1, keepdims=True)
     out = Tensor(p, (e,))
 
     def backward(g):
-        e.grad += p * (g - np.dot(g, p))
+        e.grad += p * (g - (g * p).sum(axis=-1, keepdims=True))
 
     out._backward = backward
     return out
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the leading axis: (L, D) -> (D,)."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"mean_rows: expected matrix, got {a.shape}")
-    n = a.shape[0]
-    out = Tensor(a.data.mean(axis=0), (a,))
+def tanh_logits(keys: Tensor, shared: Tensor, weights: Tensor) -> Tensor:
+    """e[n, l] = sum_d weights[l, d] * tanh(keys[n*L + l, d] + shared[n, d]).
+
+    keys is (N*L, D), shared (N, D) and weights (L, D); the result is
+    (N, L). One node that keeps only the tanh values for its backward.
+    """
+    (n, d), (length, d_w) = shared.shape, weights.shape
+    if keys.shape != (n * length, d) or d_w != d:
+        raise DimensionError(f"tanh_logits: incompatible shapes {keys.shape}, "
+                             f"{shared.shape}, {weights.shape}")
+    th = keys.data.reshape(n, length, d) + shared.data[:, None, :]
+    np.tanh(th, out=th)
+    out = Tensor(np.einsum("nld,ld->nl", th, weights.data), (keys, shared, weights))
 
     def backward(g):
-        a.grad += g[None, :] / n
-
-    out._backward = backward
-    return out
-
-
-def row_sums(a: Tensor) -> Tensor:
-    """Per-row sum: (L, D) -> (L,)."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"row_sums: expected matrix, got {a.shape}")
-    out = Tensor(a.data.sum(axis=1), (a,))
-
-    def backward(g):
-        a.grad += g[:, None]
-
-    out._backward = backward
-    return out
-
-
-def vec_sum(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), (x,))
-
-    def backward(g):
-        x.grad += g * np.ones_like(x.data)
+        if weights.grad is not None:
+            weights.grad += np.einsum("nl,nld->ld", g, th)
+        d_pre = th * th
+        np.subtract(1.0, d_pre, out=d_pre)
+        d_pre *= weights.data
+        d_pre *= g[:, :, None]
+        if shared.grad is not None:
+            shared.grad += d_pre.sum(axis=1)
+        if keys.grad is _UNSET:  # no copy: nothing else holds d_pre
+            keys.grad = d_pre.reshape(keys.shape)
+        elif keys.grad is not None:
+            keys.grad += d_pre.reshape(keys.shape)
 
     out._backward = backward
     return out
 
 
 def dot(x: Tensor, y: Tensor) -> Tensor:
-    if x.data.ndim != 1 or x.shape != y.shape:
+    """Sum of the elementwise product of two same-shaped tensors."""
+    if x.data.ndim < 1 or x.shape != y.shape:
         raise DimensionError(f"dot: incompatible shapes {x.shape} . {y.shape}")
-    out = Tensor(np.dot(x.data, y.data), (x, y))
+    out = Tensor(np.vdot(x.data, y.data), (x, y))
 
     def backward(g):
         if x.grad is not None:
@@ -360,16 +384,17 @@ def dot(x: Tensor, y: Tensor) -> Tensor:
 
 
 def concat(x: Tensor, y: Tensor) -> Tensor:
-    if x.data.ndim != 1 or y.data.ndim != 1:
-        raise DimensionError(f"concat: expected vectors, got {x.shape}, {y.shape}")
-    n = x.shape[0]
-    out = Tensor(np.concatenate([x.data, y.data]), (x, y))
+    """Join along the last axis; the leading axes must agree."""
+    if x.data.ndim < 1 or x.shape[:-1] != y.shape[:-1]:
+        raise DimensionError(f"concat: incompatible shapes {x.shape}, {y.shape}")
+    n = x.shape[-1]
+    out = Tensor(np.concatenate([x.data, y.data], axis=-1), (x, y))
 
     def backward(g):
         if x.grad is not None:
-            x.grad += g[:n]
+            x.grad += g[..., :n]
         if y.grad is not None:
-            y.grad += g[n:]
+            y.grad += g[..., n:]
 
     out._backward = backward
     return out

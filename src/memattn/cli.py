@@ -13,7 +13,6 @@ from . import data as dat
 from . import model as mdl
 from . import train as trn
 from .autograd import NonFiniteError, gradient_check
-from .metrics import ConstantInputError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,6 +125,7 @@ def cmd_train(args) -> int:
         "val_mse": best.epochs[best.best_epoch - 1].val_mse,
         "epochs_run": len(best.epochs),
         "stopped_early": best.stopped_early,
+        "stop_reason": best.stop_reason,
         "checkpoint": checkpoint_path,
     }))
     return EXIT_OK
@@ -137,6 +137,9 @@ def _eval_manifest(params, norm, manifest_path, split):
     if not records:
         raise CliError(f"{manifest_path}: split {split!r} is empty")
     rho, mse = trn.evaluate(params, norm, records)
+    if rho is None:
+        raise CliError(f"{manifest_path}: rho of split {split!r} is undefined: the "
+                       f"predictions or the scores are constant", EXIT_VERIFY)
     return {"rho": rho, "mse": mse, "n": len(records)}
 
 
@@ -189,36 +192,38 @@ def cmd_attmap(args) -> int:
     y, trace = trn.predict(params, norm, record.features)
     os.makedirs(args.out, exist_ok=True)
     cfg = params.config
-    for t, alpha in enumerate(trace.alpha, start=1):
-        img = heatmap_bytes(alpha.data, cfg.h, cfg.w)
+    alphas = [a.data[0] for a in trace.alpha]
+    for t, alpha in enumerate(alphas, start=1):
+        img = heatmap_bytes(alpha, cfg.h, cfg.w)
         dat.write_pgm(os.path.join(args.out, f"{args.id}_t{t}.pgm"), img)
     sidecar = {
         "id": args.id,
-        "alpha": [a.data.tolist() for a in trace.alpha],
+        "alpha": [a.tolist() for a in alphas],
         "m": trace.m_values(),
         "y_raw": trace.y_value(),
         "y": y,
     }
-    with open(os.path.join(args.out, f"{args.id}.json"), "w") as f:
+    with dat.atomic_open(os.path.join(args.out, f"{args.id}.json")) as f:
         json.dump(sidecar, f)
     print(json.dumps({"id": args.id, "y": y, "steps": cfg.t, "out": args.out}))
     return EXIT_OK
 
 
 def gradcheck_report(step: float = 1e-5, seed: int = 0):
-    """Finite-difference check of the full loss on a tiny configuration."""
+    """Finite-difference check of the summed loss of a two-sample batch on a
+    tiny configuration."""
     cfg = mdl.ModelConfig(
         w=3, h=3, d=8, b=6, t=3, fm_hidden=5,
         dropout_rate=0.0, dropout_z=0.0, seed=seed,
     )
     params = mdl.init_params(cfg)
     rng = np.random.default_rng(seed + 1)
-    x = rng.normal(size=(cfg.num_locations, cfg.d))
-    target = 0.3
+    x = rng.normal(size=(2, cfg.num_locations, cfg.d))
+    targets = [0.3, -0.5]
     train_cfg = trn.TrainConfig(penalty_weight=1e-4)
 
     def build_loss():
-        total, _ = trn.loss(x, target, params, train_cfg, training=False)
+        total, _ = trn.loss(x, targets, params, train_cfg, training=False)
         return total
 
     return gradient_check(build_loss, params.params(), step=step)
@@ -317,7 +322,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConstantInputError, NonFiniteError) as exc:
+    except (NonFiniteError, trn.NoValidEpochError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (dat.FeatureFormatError, dat.ManifestFormatError, mdl.CheckpointFormatError,

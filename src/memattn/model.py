@@ -1,12 +1,15 @@
 """Attention-recurrent memorability head.
 
-A forward pass initializes the LSTM state from the mean feature vector,
-then runs T steps of soft attention over the L spatial locations; each
-step regresses one partial score from the hidden state and the total
-score is their sum. The location term K x_i of the attention logits does
-not depend on the step, so the keys x K^T are computed once per pass and
-each step only adds U h_{t-1} + b. Attention can be disabled, which
-makes every step see the plain location mean.
+A forward pass takes a batch of N feature grids, (N, L, D), and builds
+one graph for all of them. It initializes the LSTM state from each
+sample's mean feature vector, then runs T steps of soft attention over
+the L spatial locations; each step regresses one partial score from the
+hidden state and the total score is their sum. Every step works on
+(N, k) arrays, and every contraction is one 2-D matrix product over the
+batch. The location term K x_i of the attention logits does not depend
+on the step, so the keys are computed once per pass as one (N*L, D) x K^T
+product and each step only adds U h_{t-1} + b. Attention can be
+disabled, which makes every step see the plain location mean.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import DimensionError, Param, Tensor
+from .data import atomic_open
 
 CHECKPOINT_MAGIC = b"AMWT"
 CHECKPOINT_VERSION = 1
@@ -122,16 +126,19 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-step intermediates kept as graph nodes so losses can reuse them."""
+    """Per-step intermediates of one pass, kept as graph nodes so losses can
+    reuse them: alpha holds (N, L) maps, m and y hold (N,) scores."""
 
     alpha: list[Tensor]
     m: list[Tensor]
     y: Tensor
 
     def m_values(self) -> list[float]:
+        """The per-step scores of a one-sample pass."""
         return [m.item() for m in self.m]
 
     def y_value(self) -> float:
+        """The total score of a one-sample pass."""
         return self.y.item()
 
 
@@ -139,74 +146,73 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else ag.constant(x)
 
 
-def init_state(x, params: ModelParams):
-    x = _as_tensor(x)
-    cfg = params.config
-    if x.shape != (cfg.num_locations, cfg.d):
+def _features(x, cfg: ModelConfig) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (cfg.num_locations, cfg.d):
         raise DimensionError(
-            f"features shape {x.shape}, expected {(cfg.num_locations, cfg.d)}"
+            f"features shape {x.shape}, expected (N, {cfg.num_locations}, {cfg.d})"
         )
-    xbar = ag.mean_rows(x)
-    h0 = ag.tanh(ag.add(ag.matvec(params["init_h_W"], xbar), params["init_h_b"]))
-    c0 = ag.tanh(ag.add(ag.matvec(params["init_c_W"], xbar), params["init_c_b"]))
+    return x
+
+
+def init_state(x, params: ModelParams):
+    """(h0, c0), each (N, B), from the mean location vector of each sample."""
+    xbar = ag.constant(_features(x, params.config).mean(axis=1))
+    h0 = ag.tanh(ag.linear(xbar, params["init_h_W"], params["init_h_b"]))
+    c0 = ag.tanh(ag.linear(xbar, params["init_c_W"], params["init_c_b"]))
     return h0, c0
 
 
 def attention_keys(x, params: ModelParams) -> Tensor | None:
-    """x K^T, whose row i is K x_i; None when attention is disabled."""
+    """(N*L, D) keys whose row n*L + i is K x_{n,i}; None when attention is disabled."""
     if not params.config.attention_enabled:
         return None
-    return ag.matmul(_as_tensor(x), ag.transpose(params["att_K"]))
+    x = _features(x, params.config)
+    flat = ag.constant(x.reshape(-1, x.shape[2]))
+    return ag.linear(flat, params["att_K"])
 
 
 def attention_scores(keys: Tensor | None, h_prev: Tensor, params: ModelParams) -> Tensor:
-    """Per-location logits from attention_keys; all ones when attention is disabled."""
-    cfg = params.config
+    """(N, L) logits from attention_keys; all ones when attention is disabled."""
     if keys is None:
-        return ag.constant(np.ones(cfg.num_locations))
-    # U h_prev + b is shared by all locations
-    shared = ag.add(ag.matvec(params["att_U"], h_prev), params["att_b"])
-    pre = ag.add(keys, shared)
-    return ag.row_sums(ag.mul(params["att_M"], ag.tanh(pre)))
+        return ag.constant(np.ones((h_prev.shape[0], params.config.num_locations)))
+    # U h_prev + b is shared by all locations of a sample
+    shared = ag.linear(h_prev, params["att_U"], params["att_b"])
+    return ag.tanh_logits(keys, shared, params["att_M"])
 
 
 def attend(x, alpha: Tensor) -> Tensor:
-    """Attention-weighted sum of the location feature vectors."""
-    return ag.vecmat(alpha, _as_tensor(x))
+    """(N, D) attention-weighted sums of each sample's location vectors."""
+    return ag.batch_vecmat(alpha, _as_tensor(x))
 
 
 def lstm_step(z: Tensor, h_prev: Tensor, c_prev: Tensor, params: ModelParams):
-    """Standard forget-gate LSTM without peepholes."""
+    """Standard forget-gate LSTM without peepholes, on (N, k) batches."""
     zh = ag.concat(z, h_prev)
-
-    def gate(name, activation):
-        return activation(
-            ag.add(ag.matvec(params[f"lstm_W{name}"], zh), params[f"lstm_b{name}"])
-        )
-
-    i = gate("i", ag.sigmoid)
-    f = gate("f", ag.sigmoid)
-    o = gate("o", ag.sigmoid)
-    g = gate("g", ag.tanh)
+    i = ag.sigmoid(ag.linear(zh, params["lstm_Wi"], params["lstm_bi"]))
+    f = ag.sigmoid(ag.linear(zh, params["lstm_Wf"], params["lstm_bf"]))
+    o = ag.sigmoid(ag.linear(zh, params["lstm_Wo"], params["lstm_bo"]))
+    g = ag.tanh(ag.linear(zh, params["lstm_Wg"], params["lstm_bg"]))
     c = ag.add(ag.mul(f, c_prev), ag.mul(i, g))
     h = ag.mul(o, ag.tanh(c))
     return h, c
 
 
 def discrete_score(h: Tensor, params: ModelParams, training: bool = False, rng=None) -> Tensor:
-    """Two-layer regression head with a single linear output neuron."""
+    """Two-layer regression head with a single linear output neuron: (N, B) -> (N,)."""
     cfg = params.config
-    hidden = ag.relu(ag.add(ag.vecmat(h, params["fm_w1"]), params["fm_b1"]))
+    hidden = ag.relu(ag.add(ag.matmul(h, params["fm_w1"]), params["fm_b1"]))
     hidden = ag.dropout(hidden, cfg.dropout_rate, rng, training)
-    return ag.add(ag.dot(hidden, params["fm_w2"]), params["fm_b2"])
+    return ag.add(ag.matvec(hidden, params["fm_w2"]), params["fm_b2"])
 
 
 def forward(x, params: ModelParams, training: bool = False, rng=None) -> ForwardTrace:
-    """Run the full T-step loop and collect the trace."""
+    """Run the full T-step loop over the (N, L, D) batch x and collect the trace."""
     cfg = params.config
-    x = _as_tensor(x)
+    x = _features(x, cfg)
     h, c = init_state(x, params)
     keys = attention_keys(x, params)
+    x = ag.constant(x)
     alphas, ms = [], []
     y = None
     for _ in range(cfg.t):
@@ -223,7 +229,8 @@ def forward(x, params: ModelParams, training: bool = False, rng=None) -> Forward
 
 
 def attention_penalty(alphas: list[Tensor]) -> Tensor:
-    """Coverage penalty: sum_i (1 - sum_t alpha_t,i)^2 over locations."""
+    """Coverage penalty sum_i (1 - sum_t alpha_t,i)^2, summed over locations
+    and over the samples of a batch."""
     acc = alphas[0]
     for a in alphas[1:]:
         acc = ag.add(acc, a)
@@ -238,7 +245,7 @@ def save_checkpoint(path, params: ModelParams, norm: dict) -> None:
     """
     meta = {"config": asdict(params.config), "norm": norm}
     meta_bytes = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(meta_bytes)))

@@ -2,7 +2,8 @@
 
 Scores are trained in a normalized [-1, 1] space; normalization stats are
 frozen from the training split. Early stopping tracks validation rank
-correlation and returns the checkpoint from the best epoch.
+correlation and returns the checkpoint from the best epoch. Training,
+evaluation and prediction all run the batched forward pass of model.py.
 """
 from __future__ import annotations
 
@@ -14,12 +15,23 @@ import numpy as np
 
 from . import autograd as ag
 from . import model as mdl
+from .data import atomic_open
+from .metrics import ConstantInputError, spearman_rho
 from .metrics import mse as mse_metric
-from .metrics import spearman_rho
+
+# Feature values (samples times L*D) that one batched pass may hold; a
+# sub-batch has BUDGET // (L*D) samples, at least 1. The graph of a pass
+# caches a few (N, L, D) arrays per step, so this bounds its memory: 16
+# samples at 7x7x32, one at 14x14x256.
+BUDGET = 16 * 7 * 7 * 32
 
 
 class DegenerateDatasetError(ValueError):
     """Raised when score normalization is impossible (constant scores)."""
+
+
+class NoValidEpochError(ValueError):
+    """No training epoch ended with a defined validation rho."""
 
 
 @dataclass
@@ -72,17 +84,22 @@ class ScoreNorm:
         return cls(mean=d["mean"], half_range=d["half_range"])
 
 
-def loss(x, target_normalized: float, params: mdl.ModelParams, train_cfg: TrainConfig,
+def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig,
          training: bool = False, rng=None):
-    """Squared score error plus the weighted attention coverage penalty.
+    """Summed squared score error of the (N, L, D) batch x against its (N,)
+    normalized targets, plus the weighted attention coverage penalty.
 
     Weight decay is applied inside the optimizer step, not here.
     """
-    if not math.isfinite(target_normalized):
+    targets = np.asarray(targets, dtype=np.float64)
+    if not np.isfinite(targets).all():
         raise ValueError("loss: non-finite target")
     trace = mdl.forward(x, params, training=training, rng=rng)
-    diff = ag.add(trace.y, ag.constant(-float(target_normalized)))
-    total = ag.mul(diff, diff)
+    if targets.shape != trace.y.shape:
+        raise ag.DimensionError(f"loss: targets shape {targets.shape}, "
+                                f"scores shape {trace.y.shape}")
+    diff = ag.add(trace.y, ag.constant(-targets))
+    total = ag.dot(diff, diff)
     if train_cfg.penalty_weight > 0.0:
         penalty = mdl.attention_penalty(trace.alpha)
         total = ag.add(total, ag.scale(penalty, train_cfg.penalty_weight))
@@ -117,29 +134,47 @@ def adam_step(params, opt_state: AdamState, cfg: TrainConfig) -> None:
         theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
+def _sub_batch(config: mdl.ModelConfig, cap: int) -> int:
+    """Samples per batched pass: BUDGET feature values, at least 1, at most cap."""
+    return max(1, min(cap, BUDGET // (config.num_locations * config.d)))
+
+
+def _backward_pass(records, params: mdl.ModelParams, train_cfg: TrainConfig,
+                   norm: ScoreNorm, rng) -> float:
+    """Add the grads of one sub-batch's summed loss into the Params and
+    return that loss. Its graph is freed on return, before the next is built."""
+    x = np.stack([r.features for r in records])
+    targets = [norm.normalize(r.score) for r in records]
+    total, _ = loss(x, targets, params, train_cfg, training=True, rng=rng)
+    value = total.item()
+    if not math.isfinite(value):
+        raise ag.NonFiniteError(f"train_epoch: non-finite loss {value}")
+    total.backward()
+    return value
+
+
 def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
                 train_cfg: TrainConfig, norm: ScoreNorm, rng) -> float:
     """One shuffled pass in minibatches; grads averaged per batch.
 
-    Returns the mean per-sample loss over the epoch.
+    Each minibatch runs as sub-batches of _sub_batch samples, one graph
+    and one backward each. Returns the mean per-sample loss over the
+    epoch. A non-finite sub-batch loss raises NonFiniteError before its
+    backward runs.
     """
     if not train_set:
         raise ValueError("train_epoch: empty training set")
     n = len(train_set)
     order = rng.permutation(n)
     param_list = params.params()
+    step = _sub_batch(params.config, train_cfg.batch_size)
     total_loss = 0.0
     for start in range(0, n, train_cfg.batch_size):
         batch = order[start : start + train_cfg.batch_size]
         ag.zero_grads(param_list)
-        for idx in batch:
-            record = train_set[int(idx)]
-            target = norm.normalize(record.score)
-            sample_loss, _ = loss(
-                record.features, target, params, train_cfg, training=True, rng=rng
-            )
-            sample_loss.backward()
-            total_loss += sample_loss.item()
+        for sub in range(0, len(batch), step):
+            records = [train_set[int(i)] for i in batch[sub : sub + step]]
+            total_loss += _backward_pass(records, params, train_cfg, norm, rng)
         inv = 1.0 / len(batch)
         for p in param_list:
             p.grad *= inv
@@ -147,24 +182,38 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
     return total_loss / n
 
 
+def _scores(params: mdl.ModelParams, norm: ScoreNorm, x):
+    """Eval-mode pass over the (N, L, D) batch x: (clamped denormalized
+    scores, raw trace)."""
+    trace = mdl.forward(x, params, training=False)
+    y = norm.denormalize(trace.y.data)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise ag.NonFiniteError(f"predict: non-finite score {y[bad][0]}")
+    return np.clip(y, 0.0, 1.0), trace
+
+
 def predict(params: mdl.ModelParams, norm: ScoreNorm, features):
-    """Eval-mode prediction: (clamped denormalized y, raw trace)."""
-    trace = mdl.forward(features, params, training=False)
-    y = norm.denormalize(trace.y_value())
-    if not math.isfinite(y):
-        raise ag.NonFiniteError(f"predict: non-finite score {y}")
-    return float(np.clip(y, 0.0, 1.0)), trace
+    """Eval-mode prediction for one (L, D) grid: (clamped denormalized y, raw trace)."""
+    y, trace = _scores(params, norm, np.asarray(features)[None])
+    return float(y[0]), trace
 
 
 def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
-    """Validation metrics on denormalized, clamped predictions."""
-    truths = []
-    preds = []
-    for record in records:
-        y, _ = predict(params, norm, record.features)
-        truths.append(record.score)
-        preds.append(y)
-    return spearman_rho(truths, preds), mse_metric(truths, preds)
+    """(rho, mse) of the denormalized, clamped predictions, from eval
+    passes of _sub_batch samples; rho is None when the predictions or the
+    scores are constant, which leaves it undefined."""
+    step = _sub_batch(params.config, len(records))
+    preds = np.concatenate([
+        _scores(params, norm, np.stack([r.features for r in records[i : i + step]]))[0]
+        for i in range(0, len(records), step)
+    ])
+    truths = [r.score for r in records]
+    try:
+        rho = spearman_rho(truths, preds)
+    except ConstantInputError:
+        rho = None
+    return rho, mse_metric(truths, preds)
 
 
 @dataclass
@@ -172,7 +221,7 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_mse: float
-    val_rho: float
+    val_rho: float | None
 
 
 @dataclass
@@ -181,9 +230,10 @@ class TrainReport:
     best_epoch: int = 0
     best_rho: float = float("-inf")
     stopped_early: bool = False
+    stop_reason: str = "max_epochs"
 
     def to_jsonl(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             for e in self.epochs:
                 f.write(json.dumps({
                     "epoch": e.epoch,
@@ -205,7 +255,11 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
     """Full training loop with early stopping on validation rank correlation.
 
     eval_fn(params) -> (rho, mse) may be injected for testing; the default
-    evaluates the validation set in eval mode.
+    evaluates the validation set in eval mode. An epoch whose rho is None
+    (undefined) is no improvement. A non-finite loss or prediction ends
+    the run; report.stop_reason says what ended it. The returned params
+    are those of the best epoch; NoValidEpochError if no epoch had a rho.
+    Overflows are left to those checks, so numpy prints no warnings.
     """
     if not train_set or not val_set:
         raise ValueError("fit: train and validation sets must be non-empty")
@@ -220,19 +274,28 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
     report = TrainReport()
     best_values = params.snapshot()
     bad_epochs = 0
-    for epoch in range(1, train_cfg.max_epochs + 1):
-        train_loss = train_epoch(train_set, params, opt_state, train_cfg, norm, rng)
-        val_rho, val_mse = eval_fn(params)
-        report.epochs.append(EpochRecord(epoch, train_loss, val_mse, val_rho))
-        if val_rho > report.best_rho:
-            report.best_rho = val_rho
-            report.best_epoch = epoch
-            best_values = params.snapshot()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= train_cfg.patience:
-                report.stopped_early = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, train_cfg.max_epochs + 1):
+            try:
+                train_loss = train_epoch(train_set, params, opt_state, train_cfg, norm, rng)
+                val_rho, val_mse = eval_fn(params)
+            except ag.NonFiniteError as exc:
+                report.stop_reason = f"epoch {epoch}: {exc}"
                 break
+            report.epochs.append(EpochRecord(epoch, train_loss, val_mse, val_rho))
+            if val_rho is not None and val_rho > report.best_rho:
+                report.best_rho = val_rho
+                report.best_epoch = epoch
+                best_values = params.snapshot()
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= train_cfg.patience:
+                    report.stopped_early = True
+                    report.stop_reason = "patience"
+                    break
+    if report.best_epoch == 0:
+        raise NoValidEpochError(
+            f"fit: no epoch had a defined validation rho (stopped: {report.stop_reason})")
     params.load_snapshot(best_values)
     return FitResult(params=params, report=report, norm=norm)

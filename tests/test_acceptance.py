@@ -49,7 +49,7 @@ def test_per_step_score_sums_match_displayed_totals():
     cfg = mdl.ModelConfig(w=2, h=2, d=6, b=5, t=3, fm_hidden=4,
                           dropout_rate=0.0, dropout_z=0.0, seed=0)
     params = mdl.init_params(cfg)
-    x = np.random.default_rng(0).normal(size=(cfg.num_locations, cfg.d))
+    x = np.random.default_rng(0).normal(size=(1, cfg.num_locations, cfg.d))
     trace = mdl.forward(x, params)
     ok = ok and trace.y_value() == left_fold_sum(trace.m_values())
     report("per-step score summation reproduces displayed totals", ok)
@@ -161,7 +161,7 @@ def test_invariance_suite_alpha_and_disabled_attention():
     cfg = mdl.ModelConfig(w=3, h=3, d=8, b=6, t=3, fm_hidden=5,
                           dropout_rate=0.0, dropout_z=0.0, seed=2)
     params = mdl.init_params(cfg)
-    x = np.random.default_rng(2).normal(size=(cfg.num_locations, cfg.d))
+    x = np.random.default_rng(2).normal(size=(1, cfg.num_locations, cfg.d))
     trace = mdl.forward(x, params)
     ok = all(abs(a.data.sum() - 1.0) < 1e-9 and np.all(a.data >= 0)
              for a in trace.alpha)
@@ -171,7 +171,7 @@ def test_invariance_suite_alpha_and_disabled_attention():
                               attention_enabled=False, seed=2)
     params_off = mdl.init_params(cfg_off)
     trace_off = mdl.forward(x, params_off)
-    xbar = x.mean(axis=0)
+    xbar = x.mean(axis=1)
     for alpha in trace_off.alpha:
         ok = ok and np.allclose(mdl.attend(x, alpha).data, xbar, atol=1e-12)
     report("attention maps normalized; disabled attention sees the mean", ok)

@@ -37,6 +37,18 @@ def test_matmul_shape_error_names_both_shapes():
         ag.matmul(ag.constant(np.zeros((2, 3))), ag.constant(np.zeros((2, 2))))
 
 
+def test_linear_matches_numpy_and_checks_shapes():
+    rng = np.random.default_rng(3)
+    x, w, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3)), rng.normal(size=4)
+    out = ag.linear(ag.constant(x), ag.constant(w), ag.constant(b))
+    np.testing.assert_allclose(out.data, x @ w.T + b, atol=1e-15)
+    np.testing.assert_allclose(ag.linear(ag.constant(x), ag.constant(w)).data, x @ w.T,
+                               atol=1e-15)
+    for bad_w, bad_b in ((np.zeros((4, 2)), b), (w, np.zeros(3))):
+        with pytest.raises(DimensionError):
+            ag.linear(ag.constant(x), ag.constant(bad_w), ag.constant(bad_b))
+
+
 def test_matmul_gradient_vs_finite_differences():
     rng = np.random.default_rng(0)
     a = Param("a", rng.normal(size=(3, 4)))
@@ -44,8 +56,7 @@ def test_matmul_gradient_vs_finite_differences():
     w = ag.constant(rng.normal(size=(3, 2)))
 
     def build():
-        prod = ag.matmul(a, b)
-        return ag.vec_sum(ag.row_sums(ag.mul(prod, w)))
+        return ag.dot(ag.matmul(a, b), w)
 
     fd_check(build, a)
 
@@ -73,14 +84,15 @@ def test_tanh_rejects_non_finite():
 
 def test_tanh_gradient_at_0p3():
     p = Param("x", np.array([0.3]))
-    fd_check(lambda: ag.vec_sum(ag.tanh(p)), p, tol=1e-8)
+    fd_check(lambda: ag.dot(ag.tanh(p), ag.constant(np.ones(1))), p, tol=1e-8)
 
 
 @pytest.mark.parametrize("op", [ag.tanh, ag.sigmoid, ag.relu])
 def test_unary_op_gradients(op):
     rng = np.random.default_rng(7)
     p = Param("x", rng.normal(size=5) + 0.05)  # keep away from relu kink
-    fd_check(lambda: ag.vec_sum(op(p)), p)
+    w = ag.constant(rng.normal(size=5))
+    fd_check(lambda: ag.dot(op(p), w), p)
 
 
 # --- softmax ----------------------------------------------------------------
@@ -131,14 +143,67 @@ def test_primitive_gradients():
     u = Param("u", rng.normal(size=4))
     w = ag.constant(rng.normal(size=3))
     w4 = ag.constant(rng.normal(size=4))
+    w7 = ag.constant(rng.normal(size=7))
+    w43 = ag.constant(rng.normal(size=(4, 3)))
 
-    fd_check(lambda: ag.dot(ag.mean_rows(a), w), a)
-    fd_check(lambda: ag.vec_sum(ag.row_sums(ag.add(a, v))), v)
+    fd_check(lambda: ag.dot(ag.add(a, v), w43), a)
+    fd_check(lambda: ag.dot(ag.add(a, v), w43), v)
     fd_check(lambda: ag.dot(ag.matvec(a, v), w4), a)
     fd_check(lambda: ag.dot(ag.vecmat(u, a), w), u)
-    fd_check(lambda: ag.vec_sum(ag.concat(v, u)), v)
-    fd_check(lambda: ag.vec_sum(ag.scale(ag.mul(v, w), -2.5)), v)
-    fd_check(lambda: ag.vec_sum(ag.row_sums(ag.transpose(a))), a)
+    fd_check(lambda: ag.dot(ag.concat(v, u), w7), v)
+    fd_check(lambda: ag.dot(ag.scale(ag.mul(v, w), -2.5), w), v)
+    x = Param("x", rng.normal(size=(2, 3)))
+    w24 = ag.constant(rng.normal(size=(2, 4)))
+    for p in (x, a, u):
+        fd_check(lambda: ag.dot(ag.linear(x, a, u), w24), p)
+    fd_check(lambda: ag.dot(ag.linear(x, a), w24), a)
+
+
+def test_batched_op_gradients():
+    rng = np.random.default_rng(8)
+    n, length, d = 3, 4, 5
+    alpha = Param("alpha", rng.normal(size=(n, length)))
+    x = Param("x", rng.normal(size=(n, length, d)))
+    keys = Param("keys", rng.normal(size=(n * length, d)))
+    shared = Param("shared", rng.normal(size=(n, d)))
+    weights = Param("weights", rng.normal(size=(length, d)))
+    rows = Param("rows", rng.normal(size=(n, 2)))
+    scalar = Param("scalar", np.array(0.7))
+    w_nd = ag.constant(rng.normal(size=(n, d)))
+    w_nl = ag.constant(rng.normal(size=(n, length)))
+    w_n7 = ag.constant(rng.normal(size=(n, 7)))
+
+    for p in (alpha, x):
+        fd_check(lambda: ag.dot(ag.batch_vecmat(alpha, x), w_nd), p)
+    for p in (keys, shared, weights):
+        fd_check(lambda: ag.dot(ag.tanh_logits(keys, shared, weights), w_nl), p)
+    fd_check(lambda: ag.dot(ag.softmax_vec(alpha), w_nl), alpha)
+    fd_check(lambda: ag.dot(ag.concat(rows, shared), w_n7), rows)
+    fd_check(lambda: ag.dot(ag.add(alpha, scalar), w_nl), scalar)
+
+
+def test_batched_ops_match_per_sample_loops():
+    rng = np.random.default_rng(9)
+    n, length, d = 3, 4, 5
+    alpha = rng.normal(size=(n, length))
+    x = rng.normal(size=(n, length, d))
+    keys = rng.normal(size=(n * length, d))
+    shared = rng.normal(size=(n, d))
+    weights = rng.normal(size=(length, d))
+    z = ag.batch_vecmat(ag.constant(alpha), ag.constant(x)).data
+    e = ag.tanh_logits(ag.constant(keys), ag.constant(shared), ag.constant(weights)).data
+    p = ag.softmax_vec(ag.constant(alpha)).data
+    for i in range(n):
+        np.testing.assert_allclose(z[i], alpha[i] @ x[i], atol=1e-12)
+        block = keys[i * length:(i + 1) * length]
+        np.testing.assert_allclose(
+            e[i], (weights * np.tanh(block + shared[i])).sum(axis=1), atol=1e-12)
+        np.testing.assert_allclose(p[i], ag.softmax_vec(ag.constant(alpha[i])).data,
+                                   atol=1e-15)
+    with pytest.raises(DimensionError):
+        ag.batch_vecmat(ag.constant(alpha[:, :3]), ag.constant(x))
+    with pytest.raises(DimensionError):
+        ag.tanh_logits(ag.constant(keys[:-1]), ag.constant(shared), ag.constant(weights))
 
 
 def test_add_shape_error():
@@ -165,7 +230,7 @@ def test_dropout_mask_scaling():
 
 def test_zero_grads_after_backward():
     p = Param("p", np.ones(3))
-    ag.vec_sum(ag.mul(p, p)).backward()
+    ag.dot(p, p).backward()
     assert np.any(p.grad != 0)
     ag.zero_grads([p])
     np.testing.assert_array_equal(p.grad, np.zeros(3))
@@ -176,9 +241,22 @@ def test_zero_grads_after_backward():
 
 def test_grad_accumulates_across_samples():
     p = Param("p", np.array([2.0]))
-    ag.vec_sum(ag.mul(p, p)).backward()
-    ag.vec_sum(ag.mul(p, p)).backward()
+    ag.dot(p, p).backward()
+    ag.dot(p, p).backward()
     np.testing.assert_allclose(p.grad, [8.0])  # 2 * d(x^2)/dx at x=2
+
+
+def test_backward_drops_intermediate_grads():
+    rng = np.random.default_rng(10)
+    p = Param("p", rng.normal(size=(2, 3)))
+    c = ag.constant(rng.normal(size=(2, 3)))
+    hidden = ag.tanh(ag.add(p, c))
+    out = ag.dot(hidden, ag.mul(hidden, c))
+    out.backward()
+    expected = (1 - np.tanh(p.data + c.data) ** 2) * 2 * np.tanh(p.data + c.data) * c.data
+    np.testing.assert_allclose(p.grad, expected, atol=1e-12)
+    for node in (hidden, out, c):
+        assert node.grad is None
 
 
 def test_backward_linearity():

@@ -12,7 +12,10 @@ from memattn import autograd as ag
 from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
-from memattn.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, heatmap_bytes, main
+from memattn.cli import (
+    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, GRADCHECK_TOLERANCE, gradcheck_report,
+    heatmap_bytes, main,
+)
 
 CONFIG = {
     "model": {"b": 8, "fm_hidden": 8, "dropout_rate": 0.0, "dropout_z": 0.0},
@@ -98,6 +101,58 @@ def test_train_deterministic_rerun(workspace, tmp_path, capsys):
     assert json.loads(out)["val_rho"] == first["val_rho"]
 
 
+def test_dropout_rerun_writes_identical_checkpoint(workspace, tmp_path, capsys):
+    config = tmp_path / "dropout.json"
+    config.write_text(json.dumps({
+        "model": {**CONFIG["model"], "dropout_rate": 0.5, "dropout_z": 0.5},
+        "train": {**CONFIG["train"], "batch_size": 24, "max_epochs": 2}}))
+    blobs = []
+    for run_dir in ("a", "b"):
+        code, _, _ = run(capsys, ["train", "--manifest", workspace["manifest"],
+                                  "--config", str(config), "--out", str(tmp_path / run_dir),
+                                  "--seed", "3"])
+        assert code == EXIT_OK
+        blobs.append([(tmp_path / run_dir / name).read_bytes()
+                      for name in ("checkpoint.amwt", "report.jsonl")])
+    assert blobs[0] == blobs[1]
+
+
+@pytest.fixture(scope="module")
+def synth200(tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("synth200")
+    assert main(["synth", "--out", str(data_dir), "--n", "200", "--seed", "0"]) == EXIT_OK
+    return data_dir
+
+
+@pytest.mark.parametrize("learning_rate, expected", [(50.0, EXIT_OK), (1e300, EXIT_VERIFY)])
+def test_diverging_run_keeps_its_best_checkpoint(synth200, tmp_path, capsys,
+                                                 learning_rate, expected):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"learning_rate": learning_rate}}))
+    out_dir = tmp_path / "run"
+    code, out, err = run(capsys, ["train", "--manifest", str(synth200 / "manifest.json"),
+                                  "--config", str(config), "--out", str(out_dir),
+                                  "--seed", "0"])
+    assert code == expected, err
+    assert "Warning" not in err
+    if code == EXIT_VERIFY:
+        # every epoch's validation rho was undefined: nothing to keep
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no epoch had a defined validation rho" in err
+        assert not out_dir.exists()
+        return
+    assert err == ""
+    summary = json.loads(out)
+    rows = [json.loads(line) for line in (out_dir / "report.jsonl").read_text().splitlines()]
+    assert len(rows) == summary["epochs_run"]
+    assert None in [r["val_rho"] for r in rows]
+    assert rows[summary["best_epoch"] - 1]["val_rho"] == summary["val_rho"]
+    code, out, _ = run(capsys, ["eval", "--checkpoint", str(out_dir / "checkpoint.amwt"),
+                                "--manifest", str(synth200 / "manifest.json"), "--split", "val"])
+    assert code == EXIT_OK
+    assert abs(json.loads(out)["rho"] - summary["val_rho"]) < 1e-12
+
+
 def test_train_missing_split(tmp_path, capsys):
     manifest = dat.Manifest(w=1, h=1, d=1, records=[
         dat.ManifestRecord(id="a", path="a.amft", score=0.2, split="test"),
@@ -169,7 +224,7 @@ def test_predict_output_and_contribution_sum(workspace, capsys):
         assert len(contributions) == params.config.t
         record = next(r for r in manifest.records if r.id == sample_id)
         features = dat.load_feature_file(os.path.join(manifest_dir, record.path))[3]
-        trace = mdl.forward(features, params)
+        trace = mdl.forward(features[None], params)
         unclamped = norm.denormalize(trace.y_value())
         assert abs(sum(contributions) - unclamped) < 1e-9
         assert y == pytest.approx(min(1.0, max(0.0, unclamped)), abs=1e-6)
@@ -257,21 +312,36 @@ def test_gradcheck_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_gradcheck_negative_control(monkeypatch, capsys):
-    true_dot = ag.dot
+def test_gradcheck_runs_the_oracle_on_a_batch(monkeypatch):
+    true_loss = trn.loss
+    batch_sizes = []
 
-    def corrupted_dot(x, y):
-        out = true_dot(x, y)
+    def spying_loss(x, targets, *args, **kwargs):
+        batch_sizes.append(len(x))
+        return true_loss(x, targets, *args, **kwargs)
+
+    monkeypatch.setattr(trn, "loss", spying_loss)
+    report = gradcheck_report()
+    assert max(report.values()) < GRADCHECK_TOLERANCE
+    assert min(batch_sizes) >= 2
+
+
+def test_gradcheck_negative_control(monkeypatch, capsys):
+    # matvec only carries the regression head's output weights fm_w2
+    true_matvec = ag.matvec
+
+    def corrupted_matvec(a, x):
+        out = true_matvec(a, x)
         inner = out._backward
 
         def backward(g):
             inner(g)
-            y.grad += 0.01 * g * x.data  # skew the grad of the second operand
+            x.grad += 0.01 * (a.data.T @ g)  # skew the grad of the vector operand
 
         out._backward = backward
         return out
 
-    monkeypatch.setattr(ag, "dot", corrupted_dot)
+    monkeypatch.setattr(ag, "matvec", corrupted_matvec)
     code, out, err = run(capsys, ["gradcheck"])
     assert code == EXIT_VERIFY
     assert "fm_w2" in err

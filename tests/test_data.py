@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -177,6 +178,18 @@ def test_synth_split_counts(tmp_path):
     assert len(manifest.split_records("train")) == 70
     assert len(manifest.split_records("val")) == 15
     assert len(manifest.split_records("test")) == 15
+
+
+def test_synth_bytes_are_pinned(tmp_path):
+    # sha256 of the manifest, then of the manifest and the eight feature files
+    dat.synth_dataset(8, tmp_path, seed=5, w=2, h=2, d=4)
+    names = ["manifest.json"] + [f"features/synth{i:05d}.amft" for i in range(8)]
+    blobs = [(tmp_path / name).read_bytes() for name in names]
+    assert hashlib.sha256(blobs[0]).hexdigest() == (
+        "02248d9ddde3993808872670e449aac74e99dc9169e7f7a7ae022daa710ba6ec")
+    assert hashlib.sha256(b"".join(blobs)).hexdigest() == (
+        "64dc5552cc5a20ab32a9513b242670c350baf41f91f2b8c55a88bb93075f3580")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.json"]
 
 
 def test_synth_deterministic(tmp_path):

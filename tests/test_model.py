@@ -1,10 +1,13 @@
+import errno
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from memattn import autograd as ag
+from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
 from memattn.autograd import DimensionError
@@ -17,9 +20,10 @@ def tiny_config(**overrides):
     return mdl.ModelConfig(**kwargs)
 
 
-def random_features(cfg, seed=0):
+def random_features(cfg, seed=0, n=1):
+    """An (n, L, D) batch of feature grids."""
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(cfg.num_locations, cfg.d))
+    return rng.normal(size=(n, cfg.num_locations, cfg.d))
 
 
 # --- init_params ------------------------------------------------------------
@@ -61,22 +65,22 @@ def test_init_state_zero_input_zero_weights():
     params = mdl.init_params(cfg)
     for name in ("init_h_W", "init_c_W"):
         params[name].data[...] = 0.0
-    h0, c0 = mdl.init_state(np.zeros((cfg.num_locations, cfg.d)), params)
-    np.testing.assert_array_equal(h0.data, np.zeros(cfg.b))
-    np.testing.assert_array_equal(c0.data, np.zeros(cfg.b))
+    h0, c0 = mdl.init_state(np.zeros((1, cfg.num_locations, cfg.d)), params)
+    np.testing.assert_array_equal(h0.data, np.zeros((1, cfg.b)))
+    np.testing.assert_array_equal(c0.data, np.zeros((1, cfg.b)))
 
 
 def test_init_state_mean_invariance():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
     row = np.random.default_rng(1).normal(size=cfg.d)
-    x_const = np.tile(row, (cfg.num_locations, 1))
+    x_const = np.tile(row, (1, cfg.num_locations, 1))
     h_many, c_many = mdl.init_state(x_const, params)
     cfg_one = tiny_config(w=1, h=1)
     params_one = mdl.init_params(cfg_one)
     for name in ("init_h_W", "init_h_b", "init_c_W", "init_c_b"):
         params_one[name].data[...] = params[name].data
-    h_one, c_one = mdl.init_state(row[None, :], params_one)
+    h_one, c_one = mdl.init_state(row[None, None, :], params_one)
     np.testing.assert_allclose(h_many.data, h_one.data, atol=1e-12)
     np.testing.assert_allclose(c_many.data, c_one.data, atol=1e-12)
 
@@ -84,13 +88,14 @@ def test_init_state_mean_invariance():
 def test_init_state_direct_recomputation_oracle():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
-    x = random_features(cfg, seed=2)
+    x = random_features(cfg, seed=2, n=3)
     h0, c0 = mdl.init_state(x, params)
-    xbar = x.mean(axis=0)
-    expected_h = np.tanh(params["init_h_W"].data @ xbar + params["init_h_b"].data)
-    expected_c = np.tanh(params["init_c_W"].data @ xbar + params["init_c_b"].data)
-    np.testing.assert_allclose(h0.data, expected_h, atol=1e-12)
-    np.testing.assert_allclose(c0.data, expected_c, atol=1e-12)
+    for i in range(3):
+        xbar = x[i].mean(axis=0)
+        expected_h = np.tanh(params["init_h_W"].data @ xbar + params["init_h_b"].data)
+        expected_c = np.tanh(params["init_c_W"].data @ xbar + params["init_c_b"].data)
+        np.testing.assert_allclose(h0.data[i], expected_h, atol=1e-12)
+        np.testing.assert_allclose(c0.data[i], expected_c, atol=1e-12)
 
 
 def test_init_state_shape_mismatch():
@@ -105,8 +110,8 @@ def test_attention_disabled_returns_ones():
     cfg = tiny_config(attention_enabled=False)
     params = mdl.init_params(cfg)
     keys = mdl.attention_keys(random_features(cfg), params)
-    e = mdl.attention_scores(keys, ag.constant(np.zeros(cfg.b)), params)
-    np.testing.assert_array_equal(e.data, np.ones(cfg.num_locations))
+    e = mdl.attention_scores(keys, ag.constant(np.zeros((1, cfg.b))), params)
+    np.testing.assert_array_equal(e.data, np.ones((1, cfg.num_locations)))
 
 
 def test_attention_zero_projection_gives_zero_scores():
@@ -114,8 +119,8 @@ def test_attention_zero_projection_gives_zero_scores():
     params = mdl.init_params(cfg)
     params["att_M"].data[...] = 0.0
     keys = mdl.attention_keys(random_features(cfg), params)
-    e = mdl.attention_scores(keys, ag.constant(np.zeros(cfg.b)), params)
-    np.testing.assert_array_equal(e.data, np.zeros(cfg.num_locations))
+    e = mdl.attention_scores(keys, ag.constant(np.zeros((1, cfg.b))), params)
+    np.testing.assert_array_equal(e.data, np.zeros((1, cfg.num_locations)))
 
 
 def test_attention_scores_scalar_hand_expansion():
@@ -127,11 +132,12 @@ def test_attention_scores_scalar_hand_expansion():
     params["att_U"].data[...] = [[U]]
     params["att_K"].data[...] = [[K]]
     params["att_b"].data[...] = [b]
-    x = np.array([[0.5], [-1.1]])
+    x = np.array([[[0.5], [-1.1]]])
     h = 0.9
-    e = mdl.attention_scores(mdl.attention_keys(x, params), ag.constant(np.array([h])), params)
-    expected = [M * np.tanh(U * h + K * 0.5 + b),
-                2 * M * np.tanh(U * h + K * -1.1 + b)]
+    e = mdl.attention_scores(mdl.attention_keys(x, params), ag.constant(np.array([[h]])),
+                             params)
+    expected = [[M * np.tanh(U * h + K * 0.5 + b),
+                 2 * M * np.tanh(U * h + K * -1.1 + b)]]
     np.testing.assert_allclose(e.data, expected, atol=1e-12)
 
 
@@ -139,35 +145,36 @@ def test_attend_uniform_gives_mean():
     cfg = tiny_config()
     x = random_features(cfg, seed=3)
     L = cfg.num_locations
-    z = mdl.attend(x, ag.constant(np.full(L, 1.0 / L)))
-    np.testing.assert_allclose(z.data, x.mean(axis=0), atol=1e-12)
+    z = mdl.attend(x, ag.constant(np.full((1, L), 1.0 / L)))
+    np.testing.assert_allclose(z.data, x.mean(axis=1), atol=1e-12)
 
 
 def test_attend_one_hot_selects_location():
     cfg = tiny_config()
     x = random_features(cfg, seed=4)
-    alpha = np.zeros(cfg.num_locations)
-    alpha[5] = 1.0
+    alpha = np.zeros((1, cfg.num_locations))
+    alpha[0, 5] = 1.0
     z = mdl.attend(x, ag.constant(alpha))
-    np.testing.assert_array_equal(z.data, x[5])
+    np.testing.assert_array_equal(z.data, x[:, 5])
 
 
 def test_attend_naive_loop_oracle():
     cfg = tiny_config()
-    x = random_features(cfg, seed=5)
+    x = random_features(cfg, seed=5, n=2)
     rng = np.random.default_rng(6)
-    alpha = rng.random(cfg.num_locations)
-    alpha /= alpha.sum()
+    alpha = rng.random((2, cfg.num_locations))
+    alpha /= alpha.sum(axis=1, keepdims=True)
     z = mdl.attend(x, ag.constant(alpha))
-    expected = np.zeros(cfg.d)
-    for i in range(cfg.num_locations):
-        expected += alpha[i] * x[i]
+    expected = np.zeros((2, cfg.d))
+    for n in range(2):
+        for i in range(cfg.num_locations):
+            expected[n] += alpha[n, i] * x[n, i]
     np.testing.assert_allclose(z.data, expected, atol=1e-12)
 
 
 def test_attend_length_mismatch():
     with pytest.raises(DimensionError):
-        mdl.attend(np.zeros((4, 2)), ag.constant(np.ones(3) / 3))
+        mdl.attend(np.zeros((1, 4, 2)), ag.constant(np.ones((1, 3)) / 3))
 
 
 # --- lstm -------------------------------------------------------------------
@@ -178,9 +185,9 @@ def test_lstm_zero_params_closed_form():
     for gate in ("i", "f", "o", "g"):
         params[f"lstm_W{gate}"].data[...] = 0.0
     rng = np.random.default_rng(7)
-    z = ag.constant(rng.normal(size=cfg.d))
-    h_prev = ag.constant(rng.normal(size=cfg.b))
-    c_prev = ag.constant(rng.normal(size=cfg.b))
+    z = ag.constant(rng.normal(size=(1, cfg.d)))
+    h_prev = ag.constant(rng.normal(size=(1, cfg.b)))
+    c_prev = ag.constant(rng.normal(size=(1, cfg.b)))
     h, c = mdl.lstm_step(z, h_prev, c_prev, params)
     np.testing.assert_allclose(c.data, 0.5 * c_prev.data, atol=1e-12)
     np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c_prev.data), atol=1e-12)
@@ -191,10 +198,10 @@ def test_lstm_all_zero_inputs():
     params = mdl.init_params(cfg)
     for gate in ("i", "f", "o", "g"):
         params[f"lstm_W{gate}"].data[...] = 0.0
-    h, c = mdl.lstm_step(ag.constant(np.zeros(cfg.d)), ag.constant(np.zeros(cfg.b)),
-                         ag.constant(np.zeros(cfg.b)), params)
-    np.testing.assert_array_equal(h.data, np.zeros(cfg.b))
-    np.testing.assert_array_equal(c.data, np.zeros(cfg.b))
+    h, c = mdl.lstm_step(ag.constant(np.zeros((1, cfg.d))), ag.constant(np.zeros((1, cfg.b))),
+                         ag.constant(np.zeros((1, cfg.b))), params)
+    np.testing.assert_array_equal(h.data, np.zeros((1, cfg.b)))
+    np.testing.assert_array_equal(c.data, np.zeros((1, cfg.b)))
 
 
 def test_lstm_scalar_hand_expansion():
@@ -217,10 +224,10 @@ def test_lstm_scalar_hand_expansion():
     i, f, o, g = sig(pre("i")), sig(pre("f")), sig(pre("o")), np.tanh(pre("g"))
     c_exp = f * c_val + i * g
     h_exp = o * np.tanh(c_exp)
-    h, c = mdl.lstm_step(ag.constant([z_val]), ag.constant([h_val]),
-                         ag.constant([c_val]), params)
-    np.testing.assert_allclose(c.data, [c_exp], atol=1e-12)
-    np.testing.assert_allclose(h.data, [h_exp], atol=1e-12)
+    h, c = mdl.lstm_step(ag.constant([[z_val]]), ag.constant([[h_val]]),
+                         ag.constant([[c_val]]), params)
+    np.testing.assert_allclose(c.data, [[c_exp]], atol=1e-12)
+    np.testing.assert_allclose(h.data, [[h_exp]], atol=1e-12)
 
 
 # --- regression head --------------------------------------------------------
@@ -230,7 +237,7 @@ def test_discrete_score_zero_params():
     params = mdl.init_params(cfg)
     params["fm_w1"].data[...] = 0.0
     params["fm_w2"].data[...] = 0.0
-    m = mdl.discrete_score(ag.constant(np.ones(cfg.b)), params)
+    m = mdl.discrete_score(ag.constant(np.ones((1, cfg.b))), params)
     assert m.item() == 0.0
 
 
@@ -242,8 +249,8 @@ def test_discrete_score_hand_expansion():
     params["fm_b1"].data[...] = [0.25]
     params["fm_w2"].data[...] = [2.0]
     params["fm_b2"].data[...] = 0.5
-    h = np.full(cfg.b, 0.1)  # pre-activation positive
-    pre = float(w1 @ h + 0.25)
+    h = np.full((1, cfg.b), 0.1)  # pre-activation positive
+    pre = float(w1 @ h[0] + 0.25)
     assert pre > 0
     m = mdl.discrete_score(ag.constant(h), params)
     np.testing.assert_allclose(m.item(), 2.0 * pre + 0.5, atol=1e-12)
@@ -252,7 +259,7 @@ def test_discrete_score_hand_expansion():
 def test_discrete_score_eval_mode_deterministic():
     cfg = tiny_config(dropout_rate=0.5)
     params = mdl.init_params(cfg)
-    h = ag.constant(np.random.default_rng(8).normal(size=cfg.b))
+    h = ag.constant(np.random.default_rng(8).normal(size=(1, cfg.b)))
     assert mdl.discrete_score(h, params).item() == mdl.discrete_score(h, params).item()
 
 
@@ -292,10 +299,10 @@ def test_forward_attention_disabled_uniform_and_mean_context():
     x = random_features(cfg, seed=11)
     trace = mdl.forward(x, params)
     L = cfg.num_locations
-    xbar = x.mean(axis=0)
+    xbar = x.mean(axis=1)
     zs = [mdl.attend(x, alpha).data for alpha in trace.alpha]
     for alpha, z in zip(trace.alpha, zs):
-        np.testing.assert_array_equal(alpha.data, np.full(L, 1.0 / L))
+        np.testing.assert_array_equal(alpha.data, np.full((1, L), 1.0 / L))
         np.testing.assert_allclose(z, xbar, atol=1e-12)
     np.testing.assert_array_equal(zs[0], zs[1])
     np.testing.assert_array_equal(zs[1], zs[2])
@@ -323,10 +330,10 @@ def test_forward_permutation_covariance():
     params_perm.load_snapshot(values)
 
     base = mdl.forward(x, params)
-    permuted = mdl.forward(x[perm], params_perm)
+    permuted = mdl.forward(x[:, perm], params_perm)
     for a_base, a_perm in zip(base.alpha, permuted.alpha):
-        np.testing.assert_allclose(a_perm.data, a_base.data[perm], atol=1e-10)
-        np.testing.assert_allclose(mdl.attend(x[perm], a_perm).data,
+        np.testing.assert_allclose(a_perm.data, a_base.data[:, perm], atol=1e-10)
+        np.testing.assert_allclose(mdl.attend(x[:, perm], a_perm).data,
                                    mdl.attend(x, a_base).data, atol=1e-10)
     np.testing.assert_allclose(
         permuted.m_values(), base.m_values(), atol=1e-10)
@@ -371,42 +378,87 @@ def graph_nodes(*roots):
     return list(nodes.values())
 
 
+def assert_only_params_hold_grads(nodes):
+    assert any(isinstance(n, ag.Param) for n in nodes)
+    assert all(n.grad is None for n in nodes if not isinstance(n, ag.Param))
+
+
 def test_full_loss_gradients_match_finite_differences():
     # gradients reach every Param and nothing else, with attention on and off
     for enabled in (True, False):
         cfg = tiny_config(attention_enabled=enabled)
         params = mdl.init_params(cfg)
-        x = ag.constant(random_features(cfg, seed=16))
+        x = random_features(cfg, seed=16)
         tcfg = trn.TrainConfig(penalty_weight=1e-4)
 
         def build():
-            total, _ = trn.loss(x, 0.4, params, tcfg, training=False)
+            total, _ = trn.loss(x, [0.4], params, tcfg, training=False)
             return total
 
         report = ag.gradient_check(build, params.params(), step=1e-5)
         assert max(report.values()) < 1e-4, (enabled, report)
-        assert x.grad is None
+        # after backward the features and every intermediate node hold no grad
+        total = build()
+        total.backward()
+        assert_only_params_hold_grads(graph_nodes(total))
 
-        _, trace = trn.predict(params, trn.ScoreNorm(mean=0.5, half_range=0.3), x)
-        nodes = graph_nodes(trace.y, *trace.alpha)
-        assert any(isinstance(n, ag.Param) for n in nodes)
-        assert all(n.grad is None for n in nodes if not isinstance(n, ag.Param))
+        _, trace = trn.predict(params, trn.ScoreNorm(mean=0.5, half_range=0.3), x[0])
+        assert_only_params_hold_grads(graph_nodes(trace.y, *trace.alpha))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_batch_gradients_equal_summed_single_sample_gradients(enabled):
+    cfg = tiny_config(attention_enabled=enabled)
+    params = mdl.init_params(cfg)
+    x = random_features(cfg, seed=17, n=5)
+    targets = np.random.default_rng(18).uniform(-1.0, 1.0, size=5)
+    tcfg = trn.TrainConfig(penalty_weight=1e-2)
+
+    def grads(batches):
+        ag.zero_grads(params.params())
+        total = 0.0
+        for xb, tb in batches:
+            value, _ = trn.loss(xb, tb, params, tcfg)
+            value.backward()
+            total += value.item()
+        return total, {p.name: p.grad.copy() for p in params.params()}
+
+    batch_loss, batched = grads([(x, targets)])
+    summed_loss, summed = grads([(x[i:i + 1], targets[i:i + 1]) for i in range(5)])
+    assert batch_loss == pytest.approx(summed_loss, rel=1e-12)
+    for name, g in summed.items():
+        scale = max(np.abs(g).max(), 1e-300)
+        assert np.abs(batched[name] - g).max() <= 1e-10 * scale, name
+
+
+def test_batch_forward_matches_single_sample_passes():
+    cfg = tiny_config()
+    params = mdl.init_params(cfg)
+    x = random_features(cfg, seed=19, n=4)
+    batch = mdl.forward(x, params)
+    for i in range(4):
+        single = mdl.forward(x[i:i + 1], params)
+        assert abs(batch.y.data[i] - single.y_value()) < 1e-14
+        for a_batch, a_single in zip(batch.alpha, single.alpha):
+            np.testing.assert_allclose(a_batch.data[i], a_single.data[0], atol=1e-14)
 
 
 @pytest.mark.parametrize("enabled, expected", [(True, 1), (False, 0)])
 def test_forward_computes_keys_once(monkeypatch, enabled, expected):
     cfg = tiny_config(attention_enabled=enabled)
     params = mdl.init_params(cfg)
-    true_matmul = ag.matmul
+    true_linear = ag.linear
     calls = []
 
-    def counting_matmul(a, b):
-        calls.append((a.shape, b.shape))
-        return true_matmul(a, b)
+    def counting_linear(x, w, b=None):
+        calls.append(x.shape)
+        return true_linear(x, w, b)
 
-    monkeypatch.setattr(ag, "matmul", counting_matmul)
-    mdl.forward(random_features(cfg), params)
-    assert len(calls) == expected
+    monkeypatch.setattr(ag, "linear", counting_linear)
+    mdl.forward(random_features(cfg, n=2), params)
+    # the keys product is the one whose rows are the N*L locations
+    keys = [shape for shape in calls if shape[0] == 2 * cfg.num_locations]
+    assert len(keys) == expected
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -495,3 +547,37 @@ def test_checkpoint_non_finite_weights_rejected(tmp_path):
     with pytest.raises(mdl.CheckpointFormatError, match="lstm_Wf.*non-finite") as info:
         mdl.load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, mdl.init_params(tiny_config()), norm=NORM)
+    before = path.read_bytes()
+    real_open = open
+
+    class DiskFull:
+        """A file that takes 100 bytes, then fails every write."""
+
+        def __init__(self, f):
+            self.f = f
+            self.written = 0
+
+        def write(self, blob):
+            if self.written + len(blob) > 100:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.written += len(blob)
+            return self.f.write(blob)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(dat, "open", lambda p, mode: DiskFull(real_open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError):
+        mdl.save_checkpoint(path, mdl.init_params(tiny_config(seed=1)), norm=NORM)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.amwt"]

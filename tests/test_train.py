@@ -67,20 +67,20 @@ def test_constant_scores_rejected():
 def test_loss_zero_when_prediction_matches_target():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
-    x = np.random.default_rng(1).normal(size=(cfg.num_locations, cfg.d))
+    x = np.random.default_rng(1).normal(size=(1, cfg.num_locations, cfg.d))
     trace = mdl.forward(x, params)
     tcfg = trn.TrainConfig(penalty_weight=0.0)
-    total, _ = trn.loss(x, trace.y_value(), params, tcfg)
+    total, _ = trn.loss(x, [trace.y_value()], params, tcfg)
     assert total.item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_loss_squared_error():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
-    x = np.random.default_rng(2).normal(size=(cfg.num_locations, cfg.d))
+    x = np.random.default_rng(2).normal(size=(1, cfg.num_locations, cfg.d))
     trace = mdl.forward(x, params)
     tcfg = trn.TrainConfig(penalty_weight=0.0)
-    total, _ = trn.loss(x, trace.y_value() + 0.1, params, tcfg)
+    total, _ = trn.loss(x, [trace.y_value() + 0.1], params, tcfg)
     assert total.item() == pytest.approx(0.01, abs=1e-12)
 
 
@@ -89,10 +89,10 @@ def test_loss_uniform_attention_penalty_term():
                           dropout_rate=0.0, dropout_z=0.0,
                           attention_enabled=False, seed=0)
     params = mdl.init_params(cfg)
-    x = np.random.default_rng(3).normal(size=(cfg.num_locations, cfg.d))
+    x = np.random.default_rng(3).normal(size=(1, cfg.num_locations, cfg.d))
     trace = mdl.forward(x, params)
     lam = 1e-4
-    with_pen, _ = trn.loss(x, trace.y_value(), params, trn.TrainConfig(penalty_weight=lam))
+    with_pen, _ = trn.loss(x, [trace.y_value()], params, trn.TrainConfig(penalty_weight=lam))
     expected = lam * 196.0 * (1.0 - 3.0 / 196.0) ** 2
     assert with_pen.item() == pytest.approx(expected, abs=1e-12)
 
@@ -100,17 +100,17 @@ def test_loss_uniform_attention_penalty_term():
 def test_loss_non_negative():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
-    x = np.random.default_rng(4).normal(size=(cfg.num_locations, cfg.d))
-    total, _ = trn.loss(x, 0.7, params, trn.TrainConfig())
+    x = np.random.default_rng(4).normal(size=(1, cfg.num_locations, cfg.d))
+    total, _ = trn.loss(x, [0.7], params, trn.TrainConfig())
     assert total.item() >= 0.0
 
 
 def test_loss_rejects_non_finite_target():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
-    x = np.zeros((cfg.num_locations, cfg.d))
+    x = np.zeros((1, cfg.num_locations, cfg.d))
     with pytest.raises(ValueError):
-        trn.loss(x, float("nan"), params, trn.TrainConfig())
+        trn.loss(x, [float("nan")], params, trn.TrainConfig())
 
 
 # --- adam -------------------------------------------------------------------
@@ -152,7 +152,7 @@ def test_adam_two_steps_vs_reference():
     grads = []
     for _ in range(2):
         ag.zero_grads([p])
-        ag.vec_sum(ag.mul(p, p)).backward()  # f = theta^2
+        ag.dot(p, p).backward()  # f = theta^2
         grads.append(float(p.grad[0]))
         trn.adam_step([p], state, cfg)
     expected = reference_adam(3.0, grads, lr=0.05)
@@ -189,9 +189,9 @@ def test_batch_of_identical_samples_matches_single_sample_gradient(tmp_path):
         params = mdl.init_params(cfg)
         plist = params.params()
         ag.zero_grads(plist)
-        for r in records:
-            total, _ = trn.loss(r.features, norm.normalize(r.score), params, tcfg)
-            total.backward()
+        x = np.stack([r.features for r in records])
+        total, _ = trn.loss(x, [norm.normalize(r.score) for r in records], params, tcfg)
+        total.backward()
         return {p.name: p.grad / len(records) for p in plist}
 
     averaged = batch_grads(batch)
@@ -213,6 +213,51 @@ def test_train_epoch_deterministic(tmp_path):
         return trn.train_epoch(records, params, opt, tcfg, norm, rng)
 
     assert run() == run()
+
+
+def epoch_grads(records, monkeypatch, budget):
+    """The averaged minibatch grads that one train_epoch hands to adam_step."""
+    cfg = tiny_config()
+    monkeypatch.setattr(trn, "BUDGET", budget)
+    grads = []
+    monkeypatch.setattr(trn, "adam_step", lambda plist, state, tcfg: grads.append(
+        {p.name: p.grad.copy() for p in plist}))
+    params = mdl.init_params(cfg)
+    norm = trn.ScoreNorm.from_scores([r.score for r in records])
+    tcfg = trn.TrainConfig(batch_size=len(records), penalty_weight=1e-2)
+    loss = trn.train_epoch(records, params, trn.AdamState(params.params()), tcfg, norm,
+                           np.random.default_rng(0))
+    return loss, grads
+
+
+def test_chunked_sub_batches_give_the_same_batch_gradient(tmp_path, monkeypatch):
+    records = tiny_dataset(tmp_path, n=16)
+    features = 2 * 2 * 8
+    loss_whole, (whole,) = epoch_grads(records, monkeypatch, budget=10**9)
+    loss_chunked, (chunked,) = epoch_grads(records, monkeypatch, budget=3 * features)
+    assert loss_chunked == pytest.approx(loss_whole, rel=1e-12)
+    for name, g in whole.items():
+        assert np.abs(chunked[name] - g).max() <= 1e-12 * max(np.abs(g).max(), 1e-300), name
+
+
+def test_train_epoch_calls_backward_once_per_sub_batch(tmp_path, monkeypatch):
+    records = tiny_dataset(tmp_path, n=16)
+    cfg = tiny_config()
+    monkeypatch.setattr(trn, "BUDGET", 3 * cfg.num_locations * cfg.d)
+    calls = []
+    true_backward = ag.Tensor.backward
+
+    def counting_backward(t):
+        calls.append(t.shape)
+        return true_backward(t)
+
+    monkeypatch.setattr(ag.Tensor, "backward", counting_backward)
+    params = mdl.init_params(cfg)
+    norm = trn.ScoreNorm.from_scores([r.score for r in records])
+    trn.train_epoch(records, params, trn.AdamState(params.params()),
+                    trn.TrainConfig(batch_size=8), norm, np.random.default_rng(0))
+    # two minibatches of 8, each run as sub-batches of 3, 3 and 2
+    assert calls == [()] * 6
 
 
 def test_train_epoch_empty_set_rejected():
@@ -290,6 +335,42 @@ def test_loss_decreases_smoothly_without_attention(tmp_path):
     losses = [e.train_loss for e in report.epochs]
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev * 1.10
+
+
+def test_undefined_rho_is_no_improvement_and_written_as_null(tmp_path):
+    result = injected_fit([0.2, None, 0.4, None, None], tmp_path, patience=2)
+    report = result.report
+    assert report.best_epoch == 3 and report.best_rho == 0.4
+    assert report.stopped_early and report.stop_reason == "patience"
+    path = tmp_path / "report.jsonl"
+    report.to_jsonl(path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["val_rho"] for r in rows] == [0.2, None, 0.4, None, None]
+    assert "null" in path.read_text() and "NaN" not in path.read_text()
+
+
+def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path):
+    snapshots = []
+
+    def eval_fn(params):
+        snapshots.append(params.snapshot())
+        if len(snapshots) == 3:
+            raise ag.NonFiniteError("predict: non-finite score nan")
+        return [0.1, 0.5][len(snapshots) - 1], 0.0
+
+    records = tiny_dataset(tmp_path, n=12)
+    tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
+    result = trn.fit(records[:8], records[8:], tiny_config(), tcfg, eval_fn=eval_fn)
+    assert [e.epoch for e in result.report.epochs] == [1, 2]
+    assert result.report.best_epoch == 2 and not result.report.stopped_early
+    assert result.report.stop_reason == "epoch 3: predict: non-finite score nan"
+    for name, values in snapshots[1].items():
+        np.testing.assert_array_equal(result.params[name].data, values)
+
+
+def test_no_defined_rho_raises(tmp_path):
+    with pytest.raises(trn.NoValidEpochError, match="patience"):
+        injected_fit([None, None], tmp_path, patience=2)
 
 
 def test_report_jsonl_schema(tmp_path):
