@@ -192,7 +192,7 @@ def cmd_attmap(args) -> int:
     y, trace = trn.predict(params, norm, record.features)
     os.makedirs(args.out, exist_ok=True)
     cfg = params.config
-    alphas = [a.data[0] for a in trace.alpha]
+    alphas = [a[0] for a in trace.alpha]
     for t, alpha in enumerate(alphas, start=1):
         img = heatmap_bytes(alpha, cfg.h, cfg.w)
         dat.write_pgm(os.path.join(args.out, f"{args.id}_t{t}.pgm"), img)

@@ -1,18 +1,18 @@
 """Attention-recurrent memorability head.
 
-A forward pass takes a batch of N feature grids, (N, L, D), and builds
-one graph for all of them. It initializes the LSTM state from each
-sample's mean feature vector, then runs T steps of soft attention over
-the L spatial locations; each step regresses one partial score from the
-hidden state and the total score is their sum. Every step works on
-(N, k) arrays, and every contraction is one 2-D matrix product over the
-batch. The location term K x_i of the attention logits does not depend
-on the step, so the keys are computed once per pass as one (N*L, D) x K^T
-product and each step only adds U h_{t-1} + b. Attention can be
-disabled, which makes every step see the plain location mean.
+A forward pass takes a batch of N feature grids, (N, L, D). It
+initializes the LSTM state from each sample's mean feature vector, then
+runs T steps of soft attention over the L spatial locations; each step
+regresses one partial score from the hidden state and the total score is
+their sum. Every weight product is one 2-D matrix product over the batch;
+the keys K x_i do not depend on the step, so they are one (N*L, D) x K^T
+product per pass. Attention can be disabled, which makes every step see
+the plain location mean. `backward` is derived by hand: it runs the steps
+in reverse and forms each weight gradient as one product over all steps.
 """
 from __future__ import annotations
 
+import collections
 import json
 import math
 import struct
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autograd as ag
-from .autograd import DimensionError, Param, Tensor
+from .autograd import DimensionError, Param
 from .data import atomic_open
 
 CHECKPOINT_MAGIC = b"AMWT"
@@ -124,14 +124,23 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(config, params)
 
 
+# The intermediates of one step that backward reads, each (N, ...): th holds
+# the (N, L, D) tanh terms of the logits (None without attention), z the
+# context and hidden the regression hidden layer, both after dropout, and
+# gates the LSTM's (i, f, o, g); a mask is None when its dropout is off.
+_Step = collections.namedtuple("_Step", "h_prev c_prev th z z_mask gates c h hidden h_mask")
+
+
 @dataclass
 class ForwardTrace:
-    """Per-step intermediates of one pass, kept as graph nodes so losses can
-    reuse them: alpha holds (N, L) maps, m and y hold (N,) scores."""
+    """One pass: per-step (N, L) maps alpha and (N,) scores m, their (N,)
+    sum y, and the features and per-step intermediates backward reads."""
 
-    alpha: list[Tensor]
-    m: list[Tensor]
-    y: Tensor
+    alpha: list[np.ndarray]
+    m: list[np.ndarray]
+    y: np.ndarray
+    x: np.ndarray
+    steps: list[_Step]
 
     def m_values(self) -> list[float]:
         """The per-step scores of a one-sample pass."""
@@ -140,10 +149,6 @@ class ForwardTrace:
     def y_value(self) -> float:
         """The total score of a one-sample pass."""
         return self.y.item()
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else ag.constant(x)
 
 
 def _features(x, cfg: ModelConfig) -> np.ndarray:
@@ -155,87 +160,197 @@ def _features(x, cfg: ModelConfig) -> np.ndarray:
     return x
 
 
+def _affine(x: np.ndarray, w: Param, b: Param) -> np.ndarray:
+    """x W^T + b for the (N, k) batch x and the (out, k) weight W."""
+    y = ag.matmul(x, w.data.T)
+    y += b.data
+    return y
+
+
 def init_state(x, params: ModelParams):
     """(h0, c0), each (N, B), from the mean location vector of each sample."""
-    xbar = ag.constant(_features(x, params.config).mean(axis=1))
-    h0 = ag.tanh(ag.linear(xbar, params["init_h_W"], params["init_h_b"]))
-    c0 = ag.tanh(ag.linear(xbar, params["init_c_W"], params["init_c_b"]))
+    xbar = _features(x, params.config).mean(axis=1)
+    h0 = ag.tanh(_affine(xbar, params["init_h_W"], params["init_h_b"]))
+    c0 = ag.tanh(_affine(xbar, params["init_c_W"], params["init_c_b"]))
     return h0, c0
 
 
-def attention_keys(x, params: ModelParams) -> Tensor | None:
+def attention_keys(x, params: ModelParams) -> np.ndarray | None:
     """(N*L, D) keys whose row n*L + i is K x_{n,i}; None when attention is disabled."""
     if not params.config.attention_enabled:
         return None
-    x = _features(x, params.config)
-    flat = ag.constant(x.reshape(-1, x.shape[2]))
-    return ag.linear(flat, params["att_K"])
+    flat = _features(x, params.config).reshape(-1, params.config.d)
+    return ag.matmul(flat, params["att_K"].data.T)
 
 
-def attention_scores(keys: Tensor | None, h_prev: Tensor, params: ModelParams) -> Tensor:
-    """(N, L) logits from attention_keys; all ones when attention is disabled."""
+def attention_scores(keys, h_prev: np.ndarray, params: ModelParams):
+    """(N, L) logits from attention_keys and the (N, L, D) tanh terms they
+    weight; all-ones logits and None when attention is disabled."""
     if keys is None:
-        return ag.constant(np.ones((h_prev.shape[0], params.config.num_locations)))
+        return np.ones((len(h_prev), params.config.num_locations)), None
     # U h_prev + b is shared by all locations of a sample
-    shared = ag.linear(h_prev, params["att_U"], params["att_b"])
-    return ag.tanh_logits(keys, shared, params["att_M"])
+    shared = _affine(h_prev, params["att_U"], params["att_b"])
+    th = keys.reshape(len(shared), -1, shared.shape[1]) + shared[:, None, :]
+    np.tanh(th, out=th)
+    return np.einsum("nld,ld->nl", th, params["att_M"].data), th
 
 
-def attend(x, alpha: Tensor) -> Tensor:
+def attend(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """(N, D) attention-weighted sums of each sample's location vectors."""
-    return ag.batch_vecmat(alpha, _as_tensor(x))
+    if alpha.ndim != 2 or x.ndim != 3 or alpha.shape != x.shape[:2]:
+        raise DimensionError(f"attend: incompatible shapes {alpha.shape} x {x.shape}")
+    return np.matmul(alpha[:, None, :], x)[:, 0, :]
 
 
-def lstm_step(z: Tensor, h_prev: Tensor, c_prev: Tensor, params: ModelParams):
-    """Standard forget-gate LSTM without peepholes, on (N, k) batches."""
-    zh = ag.concat(z, h_prev)
-    i = ag.sigmoid(ag.linear(zh, params["lstm_Wi"], params["lstm_bi"]))
-    f = ag.sigmoid(ag.linear(zh, params["lstm_Wf"], params["lstm_bf"]))
-    o = ag.sigmoid(ag.linear(zh, params["lstm_Wo"], params["lstm_bo"]))
-    g = ag.tanh(ag.linear(zh, params["lstm_Wg"], params["lstm_bg"]))
-    c = ag.add(ag.mul(f, c_prev), ag.mul(i, g))
-    h = ag.mul(o, ag.tanh(c))
-    return h, c
+def lstm_step(z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: ModelParams):
+    """Standard forget-gate LSTM without peepholes, on (N, k) batches:
+    (h, c, (i, f, o, g))."""
+    zh = np.concatenate([z, h_prev], axis=-1)
+    i = ag.sigmoid(_affine(zh, params["lstm_Wi"], params["lstm_bi"]))
+    f = ag.sigmoid(_affine(zh, params["lstm_Wf"], params["lstm_bf"]))
+    o = ag.sigmoid(_affine(zh, params["lstm_Wo"], params["lstm_bo"]))
+    g = ag.tanh(_affine(zh, params["lstm_Wg"], params["lstm_bg"]))
+    c = f * c_prev + i * g
+    h = o * ag.tanh(c)
+    return h, c, (i, f, o, g)
 
 
-def discrete_score(h: Tensor, params: ModelParams, training: bool = False, rng=None) -> Tensor:
-    """Two-layer regression head with a single linear output neuron: (N, B) -> (N,)."""
-    cfg = params.config
-    hidden = ag.relu(ag.add(ag.matmul(h, params["fm_w1"]), params["fm_b1"]))
-    hidden = ag.dropout(hidden, cfg.dropout_rate, rng, training)
-    return ag.add(ag.matvec(hidden, params["fm_w2"]), params["fm_b2"])
+def discrete_score(h: np.ndarray, params: ModelParams, mask=None):
+    """Two-layer regression head with a single linear output neuron: the
+    (N,) scores of the (N, B) states h and the hidden layer, after the
+    dropout mask if one is given."""
+    pre = ag.matmul(h, params["fm_w1"].data) + params["fm_b1"].data
+    hidden = np.where(pre > 0, pre, 0.0)
+    if mask is not None:
+        hidden = hidden * mask
+    return ag.matvec(hidden, params["fm_w2"].data) + params["fm_b2"].data, hidden
+
+
+def _dropout_mask(shape, rate: float, rng, training: bool):
+    """Inverted-dropout mask; None in eval mode or at rate 0."""
+    if not training or rate == 0.0:
+        return None
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def forward(x, params: ModelParams, training: bool = False, rng=None) -> ForwardTrace:
-    """Run the full T-step loop over the (N, L, D) batch x and collect the trace."""
+    """Run the full T-step loop over the (N, L, D) batch x; training draws
+    dropout masks from rng."""
     cfg = params.config
     x = _features(x, cfg)
     h, c = init_state(x, params)
     keys = attention_keys(x, params)
-    x = ag.constant(x)
-    alphas, ms = [], []
-    y = None
+    alphas, ms, steps = [], [], []
     for _ in range(cfg.t):
-        e = attention_scores(keys, h, params)
+        e, th = attention_scores(keys, h, params)
         alpha = ag.softmax_vec(e)
         z = attend(x, alpha)
-        z = ag.dropout(z, cfg.dropout_z, rng, training)
-        h, c = lstm_step(z, h, c, params)
-        m = discrete_score(h, params, training=training, rng=rng)
+        # the context's mask is drawn before the hidden layer's
+        z_mask = _dropout_mask(z.shape, cfg.dropout_z, rng, training)
+        h_mask = _dropout_mask((len(z), cfg.fm_hidden), cfg.dropout_rate, rng, training)
+        if z_mask is not None:
+            z = z * z_mask
+        h_next, c_next, gates = lstm_step(z, h, c, params)
+        m, hidden = discrete_score(h_next, params, h_mask)
+        steps.append(_Step(h, c, th, z, z_mask, gates, c_next, h_next, hidden, h_mask))
+        h, c = h_next, c_next
         alphas.append(alpha)
         ms.append(m)
-        y = m if y is None else ag.add(y, m)
-    return ForwardTrace(alpha=alphas, m=ms, y=y)
+    return ForwardTrace(alpha=alphas, m=ms, y=sum(ms[1:], ms[0]), x=x, steps=steps)
 
 
-def attention_penalty(alphas: list[Tensor]) -> Tensor:
+def _coverage_gap(alphas) -> np.ndarray:
+    """1 - sum_t alpha_t."""
+    return 1.0 - sum(alphas[1:], alphas[0])
+
+
+def attention_penalty(alphas) -> float:
     """Coverage penalty sum_i (1 - sum_t alpha_t,i)^2, summed over locations
     and over the samples of a batch."""
-    acc = alphas[0]
-    for a in alphas[1:]:
-        acc = ag.add(acc, a)
-    s = ag.add(ag.constant(np.ones(acc.shape)), ag.scale(acc, -1.0))
-    return ag.dot(s, s)
+    s = _coverage_gap(alphas)
+    return np.vdot(s, s)
+
+
+def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
+             penalty_weight: float = 0.0) -> None:
+    """Add into every Param's grad the gradient of a loss whose gradient with
+    respect to the pass's scores trace.y is dy, plus penalty_weight times
+    attention_penalty(trace.alpha).
+
+    Rows of the stacked arrays are t*N + n: step t, sample n.
+    """
+    steps, p = trace.steps, params
+    n, d, b = len(dy), params.config.d, params.config.b
+    dys = np.tile(dy, len(steps))  # each step's score adds to y
+
+    # regression head, all steps at once
+    hidden = np.concatenate([s.hidden for s in steps])
+    p["fm_b2"].grad += dys.sum()
+    p["fm_w2"].grad += hidden.T @ dys
+    d_pre = np.outer(dys, p["fm_w2"].data)
+    if steps[0].h_mask is not None:
+        d_pre *= np.concatenate([s.h_mask for s in steps])
+    d_pre *= hidden > 0
+    p["fm_w1"].grad += np.concatenate([s.h for s in steps]).T @ d_pre
+    p["fm_b1"].grad += d_pre.sum(axis=0)
+    dh_head = d_pre @ p["fm_w1"].data.T
+
+    # the steps in reverse; the four gates' pre-activation grads side by side
+    d_gates = np.empty((len(dys), 4 * b))
+    attention = steps[0].th is not None
+    if attention:
+        x, att_M, att_U = trace.x, p["att_M"].data, p["att_U"].data
+        d_shared, d_keys, d_M = np.empty((len(dys), d)), np.zeros(x.shape), np.zeros(att_M.shape)
+        d_cover = -2.0 * penalty_weight * _coverage_gap(trace.alpha)
+    dh, dc = np.zeros((n, b)), np.zeros((n, b))
+    for t in reversed(range(len(steps))):
+        s, rows = steps[t], slice(t * n, (t + 1) * n)
+        i, f, o, g = s.gates
+        dh += dh_head[rows]
+        tc = np.tanh(s.c)
+        dc += dh * o * (1.0 - tc * tc)
+        da = d_gates[rows]
+        da[:, :b] = dc * g * i * (1.0 - i)
+        da[:, b:2 * b] = dc * s.c_prev * f * (1.0 - f)
+        da[:, 2 * b:3 * b] = dh * tc * o * (1.0 - o)
+        da[:, 3 * b:] = dc * i * (1.0 - g * g)
+        dc = dc * f
+        d_zh = sum(da[:, k * b:(k + 1) * b] @ p[f"lstm_W{gate}"].data
+                   for k, gate in enumerate("ifog"))
+        dh = d_zh[:, d:]
+        if not attention:
+            continue
+        dz = d_zh[:, :d] if s.z_mask is None else d_zh[:, :d] * s.z_mask
+        d_alpha = np.matmul(x, dz[:, :, None])[:, :, 0] + d_cover
+        alpha = trace.alpha[t]
+        d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+        d_M += np.einsum("nl,nld->ld", d_e, s.th)
+        d_th = s.th * s.th
+        np.subtract(1.0, d_th, out=d_th)
+        d_th *= att_M
+        d_shared[rows] = np.matmul(d_e[:, None, :], d_th)[:, 0, :]
+        d_th *= d_e[:, :, None]
+        d_keys += d_th
+        dh = dh + d_shared[rows] @ att_U
+
+    h_prev = np.concatenate([s.h_prev for s in steps])
+    zh = np.concatenate([np.concatenate([s.z for s in steps]), h_prev], axis=1)
+    d_w, d_b = d_gates.T @ zh, d_gates.sum(axis=0)
+    for k, gate in enumerate("ifog"):
+        p[f"lstm_W{gate}"].grad += d_w[k * b:(k + 1) * b]
+        p[f"lstm_b{gate}"].grad += d_b[k * b:(k + 1) * b]
+    if attention:
+        p["att_M"].grad += d_M
+        p["att_U"].grad += d_shared.T @ h_prev
+        p["att_b"].grad += d_shared.sum(axis=0)
+        p["att_K"].grad += d_keys.reshape(-1, d).T @ x.reshape(-1, d)
+
+    # dh and dc now hold the grads of h0 and c0
+    xbar = trace.x.mean(axis=1)
+    for name, state, d_state in (("h", steps[0].h_prev, dh), ("c", steps[0].c_prev, dc)):
+        d_init = d_state * (1.0 - state * state)
+        p[f"init_{name}_W"].grad += d_init.T @ xbar
+        p[f"init_{name}_b"].grad += d_init.sum(axis=0)
 
 
 def save_checkpoint(path, params: ModelParams, norm: dict) -> None:
@@ -254,7 +369,7 @@ def save_checkpoint(path, params: ModelParams, norm: dict) -> None:
             name = p.name.encode("utf-8")
             f.write(struct.pack("<I", len(name)))
             f.write(name)
-            shape = p.shape
+            shape = p.data.shape
             f.write(struct.pack("<I", len(shape)))
             for dim in shape:
                 f.write(struct.pack("<I", dim))

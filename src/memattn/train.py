@@ -20,8 +20,8 @@ from .metrics import ConstantInputError, spearman_rho
 from .metrics import mse as mse_metric
 
 # Feature values (samples times L*D) that one batched pass may hold; a
-# sub-batch has BUDGET // (L*D) samples, at least 1. The graph of a pass
-# caches a few (N, L, D) arrays per step, so this bounds its memory: 16
+# sub-batch has BUDGET // (L*D) samples, at least 1. A pass keeps one
+# (N, L, D) array per step for its backward, so this bounds its memory: 16
 # samples at 7x7x32, one at 14x14x256.
 BUDGET = 16 * 7 * 7 * 32
 
@@ -86,10 +86,10 @@ class ScoreNorm:
 
 def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig,
          training: bool = False, rng=None):
-    """Summed squared score error of the (N, L, D) batch x against its (N,)
-    normalized targets, plus the weighted attention coverage penalty.
-
-    Weight decay is applied inside the optimizer step, not here.
+    """(loss, trace): the loss is the summed squared score error of the
+    (N, L, D) batch x against its (N,) normalized targets plus the weighted
+    attention coverage penalty, as a scalar Tensor whose backward adds its
+    gradient into the Params. Weight decay is applied in the optimizer step.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
@@ -98,12 +98,12 @@ def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig,
     if targets.shape != trace.y.shape:
         raise ag.DimensionError(f"loss: targets shape {targets.shape}, "
                                 f"scores shape {trace.y.shape}")
-    diff = ag.add(trace.y, ag.constant(-targets))
-    total = ag.dot(diff, diff)
-    if train_cfg.penalty_weight > 0.0:
-        penalty = mdl.attention_penalty(trace.alpha)
-        total = ag.add(total, ag.scale(penalty, train_cfg.penalty_weight))
-    return total, trace
+    diff = trace.y - targets
+    total = np.vdot(diff, diff)
+    weight = train_cfg.penalty_weight
+    if weight > 0.0:
+        total = total + mdl.attention_penalty(trace.alpha) * weight
+    return ag.Tensor(total, lambda: mdl.backward(trace, params, 2.0 * diff, weight)), trace
 
 
 class AdamState:
@@ -142,7 +142,7 @@ def _sub_batch(config: mdl.ModelConfig, cap: int) -> int:
 def _backward_pass(records, params: mdl.ModelParams, train_cfg: TrainConfig,
                    norm: ScoreNorm, rng) -> float:
     """Add the grads of one sub-batch's summed loss into the Params and
-    return that loss. Its graph is freed on return, before the next is built."""
+    return that loss. Its pass is freed on return, before the next runs."""
     x = np.stack([r.features for r in records])
     targets = [norm.normalize(r.score) for r in records]
     total, _ = loss(x, targets, params, train_cfg, training=True, rng=rng)
@@ -157,7 +157,7 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
                 train_cfg: TrainConfig, norm: ScoreNorm, rng) -> float:
     """One shuffled pass in minibatches; grads averaged per batch.
 
-    Each minibatch runs as sub-batches of _sub_batch samples, one graph
+    Each minibatch runs as sub-batches of _sub_batch samples, one pass
     and one backward each. Returns the mean per-sample loss over the
     epoch. A non-finite sub-batch loss raises NonFiniteError before its
     backward runs.
@@ -184,9 +184,11 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
 
 def _scores(params: mdl.ModelParams, norm: ScoreNorm, x):
     """Eval-mode pass over the (N, L, D) batch x: (clamped denormalized
-    scores, raw trace)."""
-    trace = mdl.forward(x, params, training=False)
-    y = norm.denormalize(trace.y.data)
+    scores, raw trace). As in fit, overflows are left to the finiteness
+    checks, so numpy prints no warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = mdl.forward(x, params, training=False)
+        y = norm.denormalize(trace.y)
     bad = ~np.isfinite(y)
     if bad.any():
         raise ag.NonFiniteError(f"predict: non-finite score {y[bad][0]}")

@@ -2,13 +2,13 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memattn import autograd as ag
 from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
@@ -327,21 +327,15 @@ def test_gradcheck_runs_the_oracle_on_a_batch(monkeypatch):
 
 
 def test_gradcheck_negative_control(monkeypatch, capsys):
-    # matvec only carries the regression head's output weights fm_w2
-    true_matvec = ag.matvec
+    true_backward = mdl.backward
 
-    def corrupted_matvec(a, x):
-        out = true_matvec(a, x)
-        inner = out._backward
+    def skewed_backward(trace, params, dy, penalty_weight=0.0):
+        before = params["fm_w2"].grad.copy()
+        true_backward(trace, params, dy, penalty_weight)
+        # skew the regression head's output weights by 1% of their gradient
+        params["fm_w2"].grad += 0.01 * (params["fm_w2"].grad - before)
 
-        def backward(g):
-            inner(g)
-            x.grad += 0.01 * (a.data.T @ g)  # skew the grad of the vector operand
-
-        out._backward = backward
-        return out
-
-    monkeypatch.setattr(ag, "matvec", corrupted_matvec)
+    monkeypatch.setattr(mdl, "backward", skewed_backward)
     code, out, err = run(capsys, ["gradcheck"])
     assert code == EXIT_VERIFY
     assert "fm_w2" in err
@@ -433,6 +427,29 @@ def test_truncated_checkpoint_is_io_error(workspace, tmp_path, monkeypatch, caps
     assert code == EXIT_IO
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(cut) in err and "truncated" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["predict", "synth00000"], ["attmap", "--out", "maps", "--id", "synth00000"],
+])
+def test_huge_finite_weights_exit_cleanly_without_warnings(workspace, tmp_path, monkeypatch,
+                                                           capsys, command):
+    monkeypatch.chdir(tmp_path)
+    params, norm = mdl.load_checkpoint(workspace["checkpoint"])
+    params["att_K"].data[0, 0] = 1e308
+    params["lstm_Wi"].data[0] = 1e300
+    huge = tmp_path / "huge.amwt"
+    mdl.save_checkpoint(huge, params, norm=norm)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, command[:1] + [
+            "--checkpoint", str(huge), "--manifest", workspace["manifest"]] + command[1:])
+    assert not caught, [str(w.message) for w in caught]
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert code == EXIT_VERIFY
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 MANIFEST_FAULTS = {

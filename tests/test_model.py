@@ -66,8 +66,8 @@ def test_init_state_zero_input_zero_weights():
     for name in ("init_h_W", "init_c_W"):
         params[name].data[...] = 0.0
     h0, c0 = mdl.init_state(np.zeros((1, cfg.num_locations, cfg.d)), params)
-    np.testing.assert_array_equal(h0.data, np.zeros((1, cfg.b)))
-    np.testing.assert_array_equal(c0.data, np.zeros((1, cfg.b)))
+    np.testing.assert_array_equal(h0, np.zeros((1, cfg.b)))
+    np.testing.assert_array_equal(c0, np.zeros((1, cfg.b)))
 
 
 def test_init_state_mean_invariance():
@@ -81,8 +81,8 @@ def test_init_state_mean_invariance():
     for name in ("init_h_W", "init_h_b", "init_c_W", "init_c_b"):
         params_one[name].data[...] = params[name].data
     h_one, c_one = mdl.init_state(row[None, None, :], params_one)
-    np.testing.assert_allclose(h_many.data, h_one.data, atol=1e-12)
-    np.testing.assert_allclose(c_many.data, c_one.data, atol=1e-12)
+    np.testing.assert_allclose(h_many, h_one, atol=1e-12)
+    np.testing.assert_allclose(c_many, c_one, atol=1e-12)
 
 
 def test_init_state_direct_recomputation_oracle():
@@ -94,8 +94,8 @@ def test_init_state_direct_recomputation_oracle():
         xbar = x[i].mean(axis=0)
         expected_h = np.tanh(params["init_h_W"].data @ xbar + params["init_h_b"].data)
         expected_c = np.tanh(params["init_c_W"].data @ xbar + params["init_c_b"].data)
-        np.testing.assert_allclose(h0.data[i], expected_h, atol=1e-12)
-        np.testing.assert_allclose(c0.data[i], expected_c, atol=1e-12)
+        np.testing.assert_allclose(h0[i], expected_h, atol=1e-12)
+        np.testing.assert_allclose(c0[i], expected_c, atol=1e-12)
 
 
 def test_init_state_shape_mismatch():
@@ -110,8 +110,9 @@ def test_attention_disabled_returns_ones():
     cfg = tiny_config(attention_enabled=False)
     params = mdl.init_params(cfg)
     keys = mdl.attention_keys(random_features(cfg), params)
-    e = mdl.attention_scores(keys, ag.constant(np.zeros((1, cfg.b))), params)
-    np.testing.assert_array_equal(e.data, np.ones((1, cfg.num_locations)))
+    e, th = mdl.attention_scores(keys, np.zeros((1, cfg.b)), params)
+    np.testing.assert_array_equal(e, np.ones((1, cfg.num_locations)))
+    assert th is None
 
 
 def test_attention_zero_projection_gives_zero_scores():
@@ -119,8 +120,8 @@ def test_attention_zero_projection_gives_zero_scores():
     params = mdl.init_params(cfg)
     params["att_M"].data[...] = 0.0
     keys = mdl.attention_keys(random_features(cfg), params)
-    e = mdl.attention_scores(keys, ag.constant(np.zeros((1, cfg.b))), params)
-    np.testing.assert_array_equal(e.data, np.zeros((1, cfg.num_locations)))
+    e, _ = mdl.attention_scores(keys, np.zeros((1, cfg.b)), params)
+    np.testing.assert_array_equal(e, np.zeros((1, cfg.num_locations)))
 
 
 def test_attention_scores_scalar_hand_expansion():
@@ -134,19 +135,18 @@ def test_attention_scores_scalar_hand_expansion():
     params["att_b"].data[...] = [b]
     x = np.array([[[0.5], [-1.1]]])
     h = 0.9
-    e = mdl.attention_scores(mdl.attention_keys(x, params), ag.constant(np.array([[h]])),
-                             params)
-    expected = [[M * np.tanh(U * h + K * 0.5 + b),
-                 2 * M * np.tanh(U * h + K * -1.1 + b)]]
-    np.testing.assert_allclose(e.data, expected, atol=1e-12)
+    e, th = mdl.attention_scores(mdl.attention_keys(x, params), np.array([[h]]), params)
+    tanh_terms = [np.tanh(U * h + K * 0.5 + b), np.tanh(U * h + K * -1.1 + b)]
+    np.testing.assert_allclose(e, [[M * tanh_terms[0], 2 * M * tanh_terms[1]]], atol=1e-12)
+    np.testing.assert_allclose(th, [[[tanh_terms[0]], [tanh_terms[1]]]], atol=1e-12)
 
 
 def test_attend_uniform_gives_mean():
     cfg = tiny_config()
     x = random_features(cfg, seed=3)
     L = cfg.num_locations
-    z = mdl.attend(x, ag.constant(np.full((1, L), 1.0 / L)))
-    np.testing.assert_allclose(z.data, x.mean(axis=1), atol=1e-12)
+    z = mdl.attend(x, np.full((1, L), 1.0 / L))
+    np.testing.assert_allclose(z, x.mean(axis=1), atol=1e-12)
 
 
 def test_attend_one_hot_selects_location():
@@ -154,8 +154,8 @@ def test_attend_one_hot_selects_location():
     x = random_features(cfg, seed=4)
     alpha = np.zeros((1, cfg.num_locations))
     alpha[0, 5] = 1.0
-    z = mdl.attend(x, ag.constant(alpha))
-    np.testing.assert_array_equal(z.data, x[:, 5])
+    z = mdl.attend(x, alpha)
+    np.testing.assert_array_equal(z, x[:, 5])
 
 
 def test_attend_naive_loop_oracle():
@@ -164,17 +164,17 @@ def test_attend_naive_loop_oracle():
     rng = np.random.default_rng(6)
     alpha = rng.random((2, cfg.num_locations))
     alpha /= alpha.sum(axis=1, keepdims=True)
-    z = mdl.attend(x, ag.constant(alpha))
+    z = mdl.attend(x, alpha)
     expected = np.zeros((2, cfg.d))
     for n in range(2):
         for i in range(cfg.num_locations):
             expected[n] += alpha[n, i] * x[n, i]
-    np.testing.assert_allclose(z.data, expected, atol=1e-12)
+    np.testing.assert_allclose(z, expected, atol=1e-12)
 
 
 def test_attend_length_mismatch():
     with pytest.raises(DimensionError):
-        mdl.attend(np.zeros((1, 4, 2)), ag.constant(np.ones((1, 3)) / 3))
+        mdl.attend(np.zeros((1, 4, 2)), np.ones((1, 3)) / 3)
 
 
 # --- lstm -------------------------------------------------------------------
@@ -185,12 +185,13 @@ def test_lstm_zero_params_closed_form():
     for gate in ("i", "f", "o", "g"):
         params[f"lstm_W{gate}"].data[...] = 0.0
     rng = np.random.default_rng(7)
-    z = ag.constant(rng.normal(size=(1, cfg.d)))
-    h_prev = ag.constant(rng.normal(size=(1, cfg.b)))
-    c_prev = ag.constant(rng.normal(size=(1, cfg.b)))
-    h, c = mdl.lstm_step(z, h_prev, c_prev, params)
-    np.testing.assert_allclose(c.data, 0.5 * c_prev.data, atol=1e-12)
-    np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c_prev.data), atol=1e-12)
+    z = rng.normal(size=(1, cfg.d))
+    h_prev = rng.normal(size=(1, cfg.b))
+    c_prev = rng.normal(size=(1, cfg.b))
+    h, c, gates = mdl.lstm_step(z, h_prev, c_prev, params)
+    np.testing.assert_allclose(c, 0.5 * c_prev, atol=1e-12)
+    np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-12)
+    np.testing.assert_array_equal(gates, [np.full((1, cfg.b), v) for v in (0.5, 0.5, 0.5, 0.0)])
 
 
 def test_lstm_all_zero_inputs():
@@ -198,10 +199,10 @@ def test_lstm_all_zero_inputs():
     params = mdl.init_params(cfg)
     for gate in ("i", "f", "o", "g"):
         params[f"lstm_W{gate}"].data[...] = 0.0
-    h, c = mdl.lstm_step(ag.constant(np.zeros((1, cfg.d))), ag.constant(np.zeros((1, cfg.b))),
-                         ag.constant(np.zeros((1, cfg.b))), params)
-    np.testing.assert_array_equal(h.data, np.zeros((1, cfg.b)))
-    np.testing.assert_array_equal(c.data, np.zeros((1, cfg.b)))
+    h, c, _ = mdl.lstm_step(np.zeros((1, cfg.d)), np.zeros((1, cfg.b)),
+                            np.zeros((1, cfg.b)), params)
+    np.testing.assert_array_equal(h, np.zeros((1, cfg.b)))
+    np.testing.assert_array_equal(c, np.zeros((1, cfg.b)))
 
 
 def test_lstm_scalar_hand_expansion():
@@ -224,10 +225,10 @@ def test_lstm_scalar_hand_expansion():
     i, f, o, g = sig(pre("i")), sig(pre("f")), sig(pre("o")), np.tanh(pre("g"))
     c_exp = f * c_val + i * g
     h_exp = o * np.tanh(c_exp)
-    h, c = mdl.lstm_step(ag.constant([[z_val]]), ag.constant([[h_val]]),
-                         ag.constant([[c_val]]), params)
-    np.testing.assert_allclose(c.data, [[c_exp]], atol=1e-12)
-    np.testing.assert_allclose(h.data, [[h_exp]], atol=1e-12)
+    h, c, _ = mdl.lstm_step(np.array([[z_val]]), np.array([[h_val]]),
+                            np.array([[c_val]]), params)
+    np.testing.assert_allclose(c, [[c_exp]], atol=1e-12)
+    np.testing.assert_allclose(h, [[h_exp]], atol=1e-12)
 
 
 # --- regression head --------------------------------------------------------
@@ -237,7 +238,7 @@ def test_discrete_score_zero_params():
     params = mdl.init_params(cfg)
     params["fm_w1"].data[...] = 0.0
     params["fm_w2"].data[...] = 0.0
-    m = mdl.discrete_score(ag.constant(np.ones((1, cfg.b))), params)
+    m, _ = mdl.discrete_score(np.ones((1, cfg.b)), params)
     assert m.item() == 0.0
 
 
@@ -252,15 +253,16 @@ def test_discrete_score_hand_expansion():
     h = np.full((1, cfg.b), 0.1)  # pre-activation positive
     pre = float(w1 @ h[0] + 0.25)
     assert pre > 0
-    m = mdl.discrete_score(ag.constant(h), params)
+    m, hidden = mdl.discrete_score(h, params)
     np.testing.assert_allclose(m.item(), 2.0 * pre + 0.5, atol=1e-12)
+    np.testing.assert_allclose(hidden, [[pre]], atol=1e-12)
 
 
 def test_discrete_score_eval_mode_deterministic():
     cfg = tiny_config(dropout_rate=0.5)
     params = mdl.init_params(cfg)
-    h = ag.constant(np.random.default_rng(8).normal(size=(1, cfg.b)))
-    assert mdl.discrete_score(h, params).item() == mdl.discrete_score(h, params).item()
+    h = np.random.default_rng(8).normal(size=(1, cfg.b))
+    assert mdl.discrete_score(h, params)[0].item() == mdl.discrete_score(h, params)[0].item()
 
 
 # --- forward ----------------------------------------------------------------
@@ -289,8 +291,8 @@ def test_forward_alpha_probability_vectors():
     params = mdl.init_params(cfg)
     trace = mdl.forward(random_features(cfg, seed=10), params)
     for alpha in trace.alpha:
-        assert np.all(alpha.data >= 0)
-        assert abs(alpha.data.sum() - 1.0) < 1e-9
+        assert np.all(alpha >= 0)
+        assert abs(alpha.sum() - 1.0) < 1e-9
 
 
 def test_forward_attention_disabled_uniform_and_mean_context():
@@ -300,9 +302,9 @@ def test_forward_attention_disabled_uniform_and_mean_context():
     trace = mdl.forward(x, params)
     L = cfg.num_locations
     xbar = x.mean(axis=1)
-    zs = [mdl.attend(x, alpha).data for alpha in trace.alpha]
+    zs = [mdl.attend(x, alpha) for alpha in trace.alpha]
     for alpha, z in zip(trace.alpha, zs):
-        np.testing.assert_array_equal(alpha.data, np.full((1, L), 1.0 / L))
+        np.testing.assert_array_equal(alpha, np.full((1, L), 1.0 / L))
         np.testing.assert_allclose(z, xbar, atol=1e-12)
     np.testing.assert_array_equal(zs[0], zs[1])
     np.testing.assert_array_equal(zs[1], zs[2])
@@ -314,7 +316,7 @@ def test_forward_eval_mode_deterministic():
     x = random_features(cfg, seed=12)
     a = mdl.forward(x, params)
     b = mdl.forward(x, params)
-    np.testing.assert_array_equal([t.data for t in a.alpha], [t.data for t in b.alpha])
+    np.testing.assert_array_equal(a.alpha, b.alpha)
     assert a.y_value() == b.y_value()
 
 
@@ -332,9 +334,9 @@ def test_forward_permutation_covariance():
     base = mdl.forward(x, params)
     permuted = mdl.forward(x[:, perm], params_perm)
     for a_base, a_perm in zip(base.alpha, permuted.alpha):
-        np.testing.assert_allclose(a_perm.data, a_base.data[:, perm], atol=1e-10)
-        np.testing.assert_allclose(mdl.attend(x[:, perm], a_perm).data,
-                                   mdl.attend(x, a_base).data, atol=1e-10)
+        np.testing.assert_allclose(a_perm, a_base[:, perm], atol=1e-10)
+        np.testing.assert_allclose(mdl.attend(x[:, perm], a_perm),
+                                   mdl.attend(x, a_base), atol=1e-10)
     np.testing.assert_allclose(
         permuted.m_values(), base.m_values(), atol=1e-10)
     assert abs(permuted.y_value() - base.y_value()) < 1e-10
@@ -343,12 +345,12 @@ def test_forward_permutation_covariance():
 # --- attention penalty ------------------------------------------------------
 
 def test_penalty_uniform_closed_form():
-    alphas = [ag.constant(np.full(4, 0.25)) for _ in range(3)]
+    alphas = [np.full(4, 0.25) for _ in range(3)]
     assert abs(mdl.attention_penalty(alphas).item() - 0.25) < 1e-12
 
 
 def test_penalty_zero_at_full_coverage():
-    alphas = [ag.constant(np.eye(3)[t]) for t in range(3)]
+    alphas = [np.eye(3)[t] for t in range(3)]
     assert abs(mdl.attention_penalty(alphas).item()) < 1e-15
 
 
@@ -356,7 +358,7 @@ def test_penalty_naive_loop_oracle():
     rng = np.random.default_rng(15)
     raw = rng.random((3, 6))
     raw /= raw.sum(axis=1, keepdims=True)
-    value = mdl.attention_penalty([ag.constant(row) for row in raw]).item()
+    value = mdl.attention_penalty(list(raw)).item()
     expected = 0.0
     for i in range(6):
         s = 1.0
@@ -368,42 +370,24 @@ def test_penalty_naive_loop_oracle():
 
 # --- end-to-end gradients ---------------------------------------------------
 
-def graph_nodes(*roots):
-    nodes, stack = {}, list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    return list(nodes.values())
-
-
-def assert_only_params_hold_grads(nodes):
-    assert any(isinstance(n, ag.Param) for n in nodes)
-    assert all(n.grad is None for n in nodes if not isinstance(n, ag.Param))
-
-
 def test_full_loss_gradients_match_finite_differences():
-    # gradients reach every Param and nothing else, with attention on and off
-    for enabled in (True, False):
-        cfg = tiny_config(attention_enabled=enabled)
+    # gradients reach every Param, with attention on and off, and with
+    # dropout on: the rng is re-seeded per build, so the masks stay fixed
+    cases = [(tiny_config(attention_enabled=enabled), 1, False) for enabled in (True, False)]
+    cases.append((tiny_config(dropout_rate=0.5, dropout_z=0.5), 2, True))
+    for cfg, n, training in cases:
         params = mdl.init_params(cfg)
-        x = random_features(cfg, seed=16)
+        x = random_features(cfg, seed=16, n=n)
+        targets = [0.4, -0.3][:n]
         tcfg = trn.TrainConfig(penalty_weight=1e-4)
 
         def build():
-            total, _ = trn.loss(x, [0.4], params, tcfg, training=False)
+            rng = np.random.default_rng(17)
+            total, _ = trn.loss(x, targets, params, tcfg, training=training, rng=rng)
             return total
 
         report = ag.gradient_check(build, params.params(), step=1e-5)
-        assert max(report.values()) < 1e-4, (enabled, report)
-        # after backward the features and every intermediate node hold no grad
-        total = build()
-        total.backward()
-        assert_only_params_hold_grads(graph_nodes(total))
-
-        _, trace = trn.predict(params, trn.ScoreNorm(mean=0.5, half_range=0.3), x[0])
-        assert_only_params_hold_grads(graph_nodes(trace.y, *trace.alpha))
+        assert max(report.values()) < 1e-4, (cfg, report)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -438,23 +422,23 @@ def test_batch_forward_matches_single_sample_passes():
     batch = mdl.forward(x, params)
     for i in range(4):
         single = mdl.forward(x[i:i + 1], params)
-        assert abs(batch.y.data[i] - single.y_value()) < 1e-14
+        assert abs(batch.y[i] - single.y_value()) < 1e-14
         for a_batch, a_single in zip(batch.alpha, single.alpha):
-            np.testing.assert_allclose(a_batch.data[i], a_single.data[0], atol=1e-14)
+            np.testing.assert_allclose(a_batch[i], a_single[0], atol=1e-14)
 
 
 @pytest.mark.parametrize("enabled, expected", [(True, 1), (False, 0)])
 def test_forward_computes_keys_once(monkeypatch, enabled, expected):
     cfg = tiny_config(attention_enabled=enabled)
     params = mdl.init_params(cfg)
-    true_linear = ag.linear
+    true_matmul = ag.matmul
     calls = []
 
-    def counting_linear(x, w, b=None):
-        calls.append(x.shape)
-        return true_linear(x, w, b)
+    def counting_matmul(a, b):
+        calls.append(a.shape)
+        return true_matmul(a, b)
 
-    monkeypatch.setattr(ag, "linear", counting_linear)
+    monkeypatch.setattr(ag, "matmul", counting_matmul)
     mdl.forward(random_features(cfg, n=2), params)
     # the keys product is the one whose rows are the N*L locations
     keys = [shape for shape in calls if shape[0] == 2 * cfg.num_locations]
