@@ -97,8 +97,14 @@ class ModelParams:
     def params(self) -> list[Param]:
         return list(self._params.values())
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
+    def snapshot(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        """Copies of the weights by name; given an earlier snapshot as out,
+        copies into its arrays instead of allocating new ones."""
+        if out is None:
+            return {name: p.data.copy() for name, p in self._params.items()}
+        for name, p in self._params.items():
+            out[name][...] = p.data
+        return out
 
     def load_snapshot(self, values: dict[str, np.ndarray]) -> None:
         for name, p in self._params.items():
@@ -233,9 +239,12 @@ def _dropout_mask(shape, rate: float, rng, training: bool):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def forward(x, params: ModelParams, training: bool = False, rng=None) -> ForwardTrace:
+def forward(x, params: ModelParams, training: bool = False, rng=None,
+            keep_steps: bool = True) -> ForwardTrace:
     """Run the full T-step loop over the (N, L, D) batch x; training draws
-    dropout masks from rng."""
+    dropout masks from rng. Without keep_steps the trace holds no per-step
+    intermediates, so each step's (N, L, D) tanh terms are freed before the
+    next step's, and backward cannot run on it."""
     cfg = params.config
     x = _features(x, cfg)
     h, c = init_state(x, params)
@@ -252,8 +261,9 @@ def forward(x, params: ModelParams, training: bool = False, rng=None) -> Forward
             z = z * z_mask
         h_next, c_next, gates = lstm_step(z, h, c, params)
         m, hidden = discrete_score(h_next, params, h_mask)
-        steps.append(_Step(h, c, th, z, z_mask, gates, c_next, h_next, hidden, h_mask))
-        h, c = h_next, c_next
+        if keep_steps:
+            steps.append(_Step(h, c, th, z, z_mask, gates, c_next, h_next, hidden, h_mask))
+        h, c, th = h_next, c_next, None
         alphas.append(alpha)
         ms.append(m)
     return ForwardTrace(alpha=alphas, m=ms, y=sum(ms[1:], ms[0]), x=x, steps=steps)
@@ -295,12 +305,13 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
     p["fm_b1"].grad += d_pre.sum(axis=0)
     dh_head = d_pre @ p["fm_w1"].data.T
 
-    # the steps in reverse; the four gates' pre-activation grads side by side
-    d_gates = np.empty((len(dys), 4 * b))
+    # the steps in reverse; d_gates[k] holds gate k's pre-activation grads
+    d_gates = np.empty((4, len(dys), b))
     attention = steps[0].th is not None
     if attention:
         x, att_M, att_U = trace.x, p["att_M"].data, p["att_U"].data
         d_shared, d_keys, d_M = np.empty((len(dys), d)), np.zeros(x.shape), np.zeros(att_M.shape)
+        d_th = np.empty(x.shape)  # one step's (N, L, D) terms; every step reuses it
         d_cover = -2.0 * penalty_weight * _coverage_gap(trace.alpha)
     dh, dc = np.zeros((n, b)), np.zeros((n, b))
     for t in reversed(range(len(steps))):
@@ -309,14 +320,13 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
         dh += dh_head[rows]
         tc = np.tanh(s.c)
         dc += dh * o * (1.0 - tc * tc)
-        da = d_gates[rows]
-        da[:, :b] = dc * g * i * (1.0 - i)
-        da[:, b:2 * b] = dc * s.c_prev * f * (1.0 - f)
-        da[:, 2 * b:3 * b] = dh * tc * o * (1.0 - o)
-        da[:, 3 * b:] = dc * i * (1.0 - g * g)
+        da = d_gates[:, rows]
+        da[0] = dc * g * i * (1.0 - i)
+        da[1] = dc * s.c_prev * f * (1.0 - f)
+        da[2] = dh * tc * o * (1.0 - o)
+        da[3] = dc * i * (1.0 - g * g)
         dc = dc * f
-        d_zh = sum(da[:, k * b:(k + 1) * b] @ p[f"lstm_W{gate}"].data
-                   for k, gate in enumerate("ifog"))
+        d_zh = sum(da[k] @ p[f"lstm_W{gate}"].data for k, gate in enumerate("ifog"))
         dh = d_zh[:, d:]
         if not attention:
             continue
@@ -325,7 +335,7 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
         alpha = trace.alpha[t]
         d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
         d_M += np.einsum("nl,nld->ld", d_e, s.th)
-        d_th = s.th * s.th
+        np.multiply(s.th, s.th, out=d_th)
         np.subtract(1.0, d_th, out=d_th)
         d_th *= att_M
         d_shared[rows] = np.matmul(d_e[:, None, :], d_th)[:, 0, :]
@@ -334,16 +344,18 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
         dh = dh + d_shared[rows] @ att_U
 
     h_prev = np.concatenate([s.h_prev for s in steps])
-    zh = np.concatenate([np.concatenate([s.z for s in steps]), h_prev], axis=1)
-    d_w, d_b = d_gates.T @ zh, d_gates.sum(axis=0)
-    for k, gate in enumerate("ifog"):
-        p[f"lstm_W{gate}"].grad += d_w[k * b:(k + 1) * b]
-        p[f"lstm_b{gate}"].grad += d_b[k * b:(k + 1) * b]
     if attention:
+        del d_th  # the (N, L, D) arrays go before the products below allocate
+        p["att_K"].grad += d_keys.reshape(-1, d).T @ x.reshape(-1, d)
+        del d_keys
         p["att_M"].grad += d_M
         p["att_U"].grad += d_shared.T @ h_prev
         p["att_b"].grad += d_shared.sum(axis=0)
-        p["att_K"].grad += d_keys.reshape(-1, d).T @ x.reshape(-1, d)
+    zh = np.concatenate([np.concatenate([s.z for s in steps]), h_prev], axis=1)
+    for k, gate in enumerate("ifog"):
+        # one product per gate: a temporary of one gate's weight size
+        p[f"lstm_W{gate}"].grad += d_gates[k].T @ zh
+        p[f"lstm_b{gate}"].grad += d_gates[k].sum(axis=0)
 
     # dh and dc now hold the grads of h0 and c0
     xbar = trace.x.mean(axis=1)

@@ -19,11 +19,16 @@ from .data import atomic_open
 from .metrics import ConstantInputError, spearman_rho
 from .metrics import mse as mse_metric
 
-# Feature values (samples times L*D) that one batched pass may hold; a
-# sub-batch has BUDGET // (L*D) samples, at least 1. A pass keeps one
-# (N, L, D) array per step for its backward, so this bounds its memory: 16
-# samples at 7x7x32, one at 14x14x256.
-BUDGET = 16 * 7 * 7 * 32
+# A batched pass has BUDGET // (L*D) samples, at least 1 and at most
+# MAX_PASS. Its memory grows with N*L*D: a train pass (train_epoch, loss)
+# holds the float64 batch x and keeps the T steps' (N, L, D) tanh terms for
+# its backward, which adds the (N, L, D) key grads and one step's temporary,
+# so T + 3 such arrays at its peak; an eval pass (_scores) keeps no step and
+# holds x, the keys and one step's tanh terms. BUDGET gives 4 samples at
+# 14x14x256, where larger weight products pay; MAX_PASS caps the 7x7x32
+# ablation shape at 32, as larger passes there run no faster and hold more.
+BUDGET = 4 * 14 * 14 * 256
+MAX_PASS = 32
 
 
 class DegenerateDatasetError(ValueError):
@@ -135,15 +140,16 @@ def adam_step(params, opt_state: AdamState, cfg: TrainConfig) -> None:
 
 
 def _sub_batch(config: mdl.ModelConfig, cap: int) -> int:
-    """Samples per batched pass: BUDGET feature values, at least 1, at most cap."""
-    return max(1, min(cap, BUDGET // (config.num_locations * config.d)))
+    """Samples per batched pass: BUDGET feature values, at least 1, at most
+    cap and MAX_PASS."""
+    return max(1, min(cap, MAX_PASS, BUDGET // (config.num_locations * config.d)))
 
 
 def _backward_pass(records, params: mdl.ModelParams, train_cfg: TrainConfig,
                    norm: ScoreNorm, rng) -> float:
     """Add the grads of one sub-batch's summed loss into the Params and
     return that loss. Its pass is freed on return, before the next runs."""
-    x = np.stack([r.features for r in records])
+    x = np.stack([r.features for r in records], dtype=np.float64)
     targets = [norm.normalize(r.score) for r in records]
     total, _ = loss(x, targets, params, train_cfg, training=True, rng=rng)
     value = total.item()
@@ -184,10 +190,10 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
 
 def _scores(params: mdl.ModelParams, norm: ScoreNorm, x):
     """Eval-mode pass over the (N, L, D) batch x: (clamped denormalized
-    scores, raw trace). As in fit, overflows are left to the finiteness
-    checks, so numpy prints no warnings."""
+    scores, raw trace without steps, so no backward). As in fit, overflows
+    are left to the finiteness checks, so numpy prints no warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = mdl.forward(x, params, training=False)
+        trace = mdl.forward(x, params, training=False, keep_steps=False)
         y = norm.denormalize(trace.y)
     bad = ~np.isfinite(y)
     if bad.any():
@@ -207,7 +213,8 @@ def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
     scores are constant, which leaves it undefined."""
     step = _sub_batch(params.config, len(records))
     preds = np.concatenate([
-        _scores(params, norm, np.stack([r.features for r in records[i : i + step]]))[0]
+        _scores(params, norm, np.stack([r.features for r in records[i : i + step]],
+                                       dtype=np.float64))[0]
         for i in range(0, len(records), step)
     ])
     truths = [r.score for r in records]
@@ -274,7 +281,7 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
         eval_fn = lambda p: evaluate(p, norm, val_set)
 
     report = TrainReport()
-    best_values = params.snapshot()
+    best_values = None  # taken at the first improvement, then overwritten
     bad_epochs = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, train_cfg.max_epochs + 1):
@@ -288,7 +295,7 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
             if val_rho is not None and val_rho > report.best_rho:
                 report.best_rho = val_rho
                 report.best_epoch = epoch
-                best_values = params.snapshot()
+                best_values = params.snapshot(out=best_values)
                 bad_epochs = 0
             else:
                 bad_epochs += 1

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,55 @@ def test_forward_computes_keys_once(monkeypatch, enabled, expected):
     # the keys product is the one whose rows are the N*L locations
     keys = [shape for shape in calls if shape[0] == 2 * cfg.num_locations]
     assert len(keys) == expected
+
+
+# --- memory a pass holds ------------------------------------------------------
+
+def traced_peak(fn):
+    """(peak, still held) bytes that fn() allocates, from tracemalloc, and
+    fn's result; one untraced call first fills any one-time caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, held - start, result
+
+
+def test_eval_pass_keeps_no_step_arrays():
+    cfg = tiny_config(w=10, h=10, d=64, b=64, fm_hidden=8, dropout_rate=0.5, dropout_z=0.5)
+    params = mdl.init_params(cfg)
+    x = random_features(cfg, seed=20, n=4)
+    _, held, (y, trace) = traced_peak(
+        lambda: trn._scores(params, trn.ScoreNorm(0.5, 0.5), x))
+    assert trace.steps == [] and len(trace.alpha) == len(trace.m) == cfg.t
+    assert held < x.nbytes / 4, held  # no (N, L, D) array outlives the pass
+    with_steps = mdl.forward(x, params)
+    assert len(with_steps.steps) == cfg.t
+    np.testing.assert_array_equal(trace.y, with_steps.y)
+
+
+def test_train_pass_peak_memory():
+    # Above the caller's float64 batch x, one loss + backward holds at most
+    # T + 3 (N, L, D) arrays (the T steps' tanh terms, the key grads, one
+    # step's buffer for them, and one for temporaries) plus two arrays the
+    # size of the largest weight (a weight grad's product and one more).
+    cfg = tiny_config(w=10, h=10, d=64, b=64, fm_hidden=8, dropout_rate=0.5, dropout_z=0.5)
+    params = mdl.init_params(cfg)
+    x = random_features(cfg, seed=21, n=4)
+    tcfg = trn.TrainConfig(penalty_weight=1e-4)
+
+    def train_pass():
+        total, _ = trn.loss(x, np.zeros(4), params, tcfg, training=True,
+                            rng=np.random.default_rng(22))
+        total.backward()
+
+    peak, _, _ = traced_peak(train_pass)
+    largest_weight = max(p.data.nbytes for p in params.params())
+    assert peak <= (cfg.t + 3) * x.nbytes + 2 * largest_weight, (peak, x.nbytes, largest_weight)
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -12,6 +12,8 @@ from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
 from memattn.autograd import Param
+from memattn.metrics import mse as mse_metric
+from memattn.metrics import spearman_rho
 
 
 def tiny_config(**overrides):
@@ -260,6 +262,45 @@ def test_train_epoch_calls_backward_once_per_sub_batch(tmp_path, monkeypatch):
     assert calls == [()] * 6
 
 
+def test_sub_batch_sizes_at_the_benchmark_shapes():
+    mid = mdl.ModelConfig(w=14, h=14, d=256)
+    ablation = mdl.ModelConfig(w=7, h=7, d=32)
+    assert trn._sub_batch(mid, 32) >= 4
+    assert 1 <= trn._sub_batch(ablation, 32) <= 32   # training cap: the batch size
+    assert 1 <= trn._sub_batch(ablation, 300) <= 32  # eval cap: the record count
+    assert trn._sub_batch(mid, 2) == 2
+
+
+def test_batched_evaluate_matches_per_sample_predictions(tmp_path, monkeypatch):
+    manifest, _ = dat.synth_dataset(40, tmp_path, seed=8, w=14, h=14, d=64)
+    records = []
+    for split in dat.SPLITS:
+        records += dat.load_split(manifest, tmp_path, split)
+    cfg = mdl.ModelConfig(w=14, h=14, d=64, b=32, t=3, fm_hidden=16,
+                          dropout_rate=0.5, dropout_z=0.5, seed=0)
+    params = mdl.init_params(cfg)
+    norm = trn.ScoreNorm.from_scores([r.score for r in records])
+    passes = []
+    true_scores = trn._scores
+
+    def recording_scores(params, norm, x):
+        y, trace = true_scores(params, norm, x)
+        passes.append(y)
+        return y, trace
+
+    monkeypatch.setattr(trn, "_scores", recording_scores)
+    rho, mse = trn.evaluate(params, norm, records)
+    monkeypatch.undo()
+    assert len(passes[0]) == trn._sub_batch(cfg, len(records)) > 1
+    batched = np.concatenate(passes)
+    single = np.array([trn.predict(params, norm, r.features)[0] for r in records])
+    assert len(np.unique(single)) == len(records)  # no clamping or ties hide a difference
+    np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+    truths = [r.score for r in records]
+    assert rho == spearman_rho(truths, single)
+    assert mse == pytest.approx(mse_metric(truths, single), rel=1e-12)
+
+
 def test_train_epoch_empty_set_rejected():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
@@ -365,6 +406,42 @@ def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path):
     assert result.report.best_epoch == 2 and not result.report.stopped_early
     assert result.report.stop_reason == "epoch 3: predict: non-finite score nan"
     for name, values in snapshots[1].items():
+        np.testing.assert_array_equal(result.params[name].data, values)
+
+
+def test_snapshot_is_not_changed_by_later_updates():
+    params = mdl.init_params(tiny_config())
+    kept = params.snapshot()
+    first = {name: values.copy() for name, values in kept.items()}
+    for p in params.params():
+        p.data += 1.0
+    for name, values in first.items():
+        np.testing.assert_array_equal(kept[name], values)
+    # a later snapshot copies into the kept arrays, and they stay apart from the params
+    arrays = {name: id(values) for name, values in kept.items()}
+    assert params.snapshot(out=kept) is kept
+    assert {name: id(values) for name, values in kept.items()} == arrays
+    for p in params.params():
+        np.testing.assert_array_equal(kept[p.name], p.data)
+        p.data -= 3.0
+        np.testing.assert_array_equal(kept[p.name], first[p.name] + 1.0)
+
+
+def test_fit_keeps_the_best_epoch_across_later_improvements(tmp_path):
+    snapshots = []
+
+    def eval_fn(params):
+        snapshots.append(params.snapshot())
+        return [0.2, 0.5, 0.1, 0.6, 0.3][len(snapshots) - 1], 0.0
+
+    records = tiny_dataset(tmp_path, n=12)
+    tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
+    result = trn.fit(records[:8], records[8:], tiny_config(), tcfg, eval_fn=eval_fn)
+    assert result.report.best_epoch == 4
+    # epoch 5 moved the params after the kept snapshot was last written
+    assert any(not np.array_equal(snapshots[4][name], values)
+               for name, values in snapshots[3].items())
+    for name, values in snapshots[3].items():
         np.testing.assert_array_equal(result.params[name].data, values)
 
 
