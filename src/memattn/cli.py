@@ -54,21 +54,12 @@ def _load_config_file(path):
 
 
 def _config(cfg, section, block, **overrides):
-    """cfg with a config-file section applied, then the non-None overrides."""
+    """cfg with a config-file section and then the non-None overrides applied."""
+    given = {key: value for key, value in overrides.items() if value is not None}
     try:
-        mdl.check_config_fields(type(cfg), block)
+        return mdl.read_config(cfg, {**block, **given})
     except ValueError as exc:
         raise CliError(f"{section} config: {exc}") from None
-    for key, value in block.items():
-        setattr(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise CliError(f"{section} config: {exc}") from None
-    return cfg
 
 
 def _load_manifest(path, config=None):
@@ -122,9 +113,9 @@ def cmd_train(args) -> int:
     print(json.dumps({
         "best_epoch": best.best_epoch,
         "val_rho": best.best_rho,
-        "val_mse": best.epochs[best.best_epoch - 1].val_mse,
+        "val_mse": best.epochs[best.best_epoch - 1]["val_mse"],
         "epochs_run": len(best.epochs),
-        "stopped_early": best.stopped_early,
+        "stopped_early": best.stop_reason == "patience",
         "stop_reason": best.stop_reason,
         "checkpoint": checkpoint_path,
     }))
@@ -187,6 +178,9 @@ def heatmap_bytes(alpha: np.ndarray, grid_h: int, grid_w: int, size: int = 224) 
 
 
 def cmd_attmap(args) -> int:
+    # the id names the output files, so it must stay inside --out
+    if args.id in ("", ".", "..") or os.path.basename(args.id) != args.id:
+        raise CliError(f"--id {args.id!r} is not a single file name component")
     params, norm = _load_checkpoint(args.checkpoint)
     (record,) = _load_by_id(args.manifest, params.config, [args.id])
     y, trace = trn.predict(params, norm, record.features)
@@ -223,7 +217,7 @@ def gradcheck_report(step: float = 1e-5, seed: int = 0):
     train_cfg = trn.TrainConfig(penalty_weight=1e-4)
 
     def build_loss():
-        total, _ = trn.loss(x, targets, params, train_cfg, training=False)
+        total, _ = trn.loss(x, targets, params, train_cfg)
         return total
 
     return gradient_check(build_loss, params.params(), step=step)
@@ -247,14 +241,14 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n < 4:
-        raise CliError(f"need at least 4 samples, got {args.n}")
-    os.makedirs(args.out, exist_ok=True)
-    manifest, _ = dat.synth_dataset(
-        args.n, args.out,
-        seed=args.seed if args.seed is not None else 0,
-        w=args.w, h=args.h, d=args.d, noise=args.noise,
-    )
+    try:
+        manifest, _ = dat.synth_dataset(
+            args.n, args.out,
+            seed=args.seed if args.seed is not None else 0,
+            w=args.w, h=args.h, d=args.d, noise=args.noise,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     print(json.dumps({
         "out": args.out,
         "n": len(manifest.records),

@@ -250,8 +250,9 @@ def synth_dataset(
     averages all locations uniformly sees the signal diluted by 1/L.
     Returns (Manifest, SynthSecret) and writes files under out_dir.
     """
-    if n < 4:
-        raise ValueError(f"synth_dataset: need n >= 4, got {n}")
+    if n < 4 or w < 1 or h < 1 or d < 2:
+        raise ValueError(f"synth_dataset: need n >= 4, w >= 1, h >= 1 and d >= 2, "
+                         f"got n={n}, w={w}, h={h}, d={d}")
     rng = np.random.default_rng(seed)
     L = w * h
     weights = rng.normal(size=d - 1)

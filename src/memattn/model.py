@@ -17,7 +17,7 @@ import json
 import math
 import struct
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -239,12 +239,11 @@ def _dropout_mask(shape, rate: float, rng, training: bool):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def forward(x, params: ModelParams, training: bool = False, rng=None,
-            keep_steps: bool = True) -> ForwardTrace:
-    """Run the full T-step loop over the (N, L, D) batch x; training draws
-    dropout masks from rng. Without keep_steps the trace holds no per-step
-    intermediates, so each step's (N, L, D) tanh terms are freed before the
-    next step's, and backward cannot run on it."""
+def forward(x, params: ModelParams, training: bool = False, rng=None) -> ForwardTrace:
+    """Run the full T-step loop over the (N, L, D) batch x. A training pass
+    draws dropout masks from rng and keeps the per-step intermediates that
+    backward reads; an eval pass keeps none, so each step's (N, L, D) tanh
+    terms are freed before the next step's."""
     cfg = params.config
     x = _features(x, cfg)
     h, c = init_state(x, params)
@@ -261,7 +260,7 @@ def forward(x, params: ModelParams, training: bool = False, rng=None,
             z = z * z_mask
         h_next, c_next, gates = lstm_step(z, h, c, params)
         m, hidden = discrete_score(h_next, params, h_mask)
-        if keep_steps:
+        if training:
             steps.append(_Step(h, c, th, z, z_mask, gates, c_next, h_next, hidden, h_mask))
         h, c, th = h_next, c_next, None
         alphas.append(alpha)
@@ -365,26 +364,25 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
         p[f"init_{name}_b"].grad += d_init.sum(axis=0)
 
 
+def _param_header(name: str, shape: tuple) -> bytes:
+    """What precedes a parameter's f64 values in a checkpoint: u32 name
+    length, the UTF-8 name, u32 rank and one u32 per dim."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<I{len(encoded)}sI{len(shape)}I", len(encoded), encoded,
+                       len(shape), *shape)
+
+
 def save_checkpoint(path, params: ModelParams, norm: dict) -> None:
-    """Binary checkpoint: magic, version, JSON meta block, named f64 params.
+    """Binary checkpoint: magic, u32 version, u32 meta length, JSON meta
+    block, then each parameter's _param_header and little-endian f64 values.
 
     norm is the score normalization {"mean", "half_range"} of ScoreNorm.as_dict.
     """
-    meta = {"config": asdict(params.config), "norm": norm}
-    meta_bytes = json.dumps(meta).encode("utf-8")
+    meta = json.dumps({"config": asdict(params.config), "norm": norm}).encode("utf-8")
     with atomic_open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
+        f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(meta)) + meta)
         for p in params.params():
-            name = p.name.encode("utf-8")
-            f.write(struct.pack("<I", len(name)))
-            f.write(name)
-            shape = p.data.shape
-            f.write(struct.pack("<I", len(shape)))
-            for dim in shape:
-                f.write(struct.pack("<I", dim))
+            f.write(_param_header(p.name, p.data.shape))
             f.write(p.data.astype("<f8").tobytes())
 
 
@@ -392,15 +390,22 @@ class CheckpointFormatError(ValueError):
     pass
 
 
-def check_config_fields(cls, block: dict) -> None:
-    """ValueError unless each key of block is a field of the dataclass cls
-    and its value has the field's type; a float field also takes an int."""
-    hints = typing.get_type_hints(cls)
+def read_config(base, block: dict):
+    """base, a config dataclass, with the fields of block applied.
+
+    ValueError unless each key of block is a field and its value has the
+    field's type (a float field also takes an int), and unless the result
+    passes validate().
+    """
+    hints = typing.get_type_hints(type(base))
     for key, value in block.items():
         if key not in hints:
             raise ValueError(f"unknown field {key!r}")
         if type(value) not in ((int, float) if hints[key] is float else (hints[key],)):
             raise ValueError(f"field {key!r} must be {hints[key].__name__}, got {value!r}")
+    config = replace(base, **block)
+    config.validate()
+    return config
 
 
 def _checkpoint_meta(path, meta_bytes: bytes):
@@ -419,9 +424,7 @@ def _checkpoint_meta(path, meta_bytes: bytes):
     if missing:
         raise CheckpointFormatError(f"{path}: meta config lacks {sorted(missing)}")
     try:
-        check_config_fields(ModelConfig, block)
-        config = ModelConfig(**block)
-        config.validate()
+        config = read_config(ModelConfig(), block)
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: meta config: {exc}") from None
     if not (
@@ -437,52 +440,36 @@ def _checkpoint_meta(path, meta_bytes: bytes):
 def load_checkpoint(path):
     """Returns (ModelParams, norm dict).
 
-    The parameters must be exactly those of the stored config, in order,
-    with finite values, and end the file.
+    The file must hold exactly the bytes save_checkpoint writes for its
+    stored config: the parameters of that config, in order, each behind its
+    _param_header, with finite values, and nothing after the last one.
     """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    pos = 4
-
-    def take(n, what):
-        """Start offset of the next n bytes, which must exist."""
-        nonlocal pos
-        if n > len(blob) - pos:
-            raise CheckpointFormatError(
-                f"{path}: truncated in {what}: needs {n} bytes at offset {pos}, "
-                f"file has {len(blob)}")
-        pos += n
-        return pos - n
-
-    def u32(what):
-        return struct.unpack_from("<I", blob, take(4, what))[0]
-
-    version = u32("version")
+    if len(blob) < 12:
+        raise CheckpointFormatError(f"{path}: truncated header, {len(blob)} of 12 bytes")
+    version, meta_len = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = u32("meta length")
-    start = take(meta_len, "meta block")
-    config, norm = _checkpoint_meta(path, blob[start:pos])
+    pos = 12 + meta_len
+    config, norm = _checkpoint_meta(path, blob[12:pos])
+    layout = [(name, shape, _param_header(name, shape)) for name, shape in _param_shapes(config)]
+    size = pos + sum(len(header) + 8 * math.prod(shape) for _, shape, header in layout)
+    if len(blob) != size:
+        state = "truncated" if len(blob) < size else "trailing bytes after the last parameter"
+        raise CheckpointFormatError(f"{path}: {state}: file has {len(blob)} bytes, its "
+                                    f"config needs {size}")
     params = {}
-    for name, shape in _param_shapes(config):
-        name_len = u32(f"{name} name length")
-        start = take(name_len, f"{name} name")
-        if blob[start:pos] != name.encode("utf-8"):
-            raise CheckpointFormatError(
-                f"{path}: parameter {blob[start:pos]!r} where config needs {name!r}")
-        rank = u32(f"{name} rank")
-        stored = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"{name} shape"))
-        if stored != shape:
-            raise CheckpointFormatError(
-                f"{path}: parameter {name} has shape {stored}, config needs {shape}")
-        count = math.prod(shape)
-        values = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count, name))
+    for name, shape, header in layout:
+        if blob[pos:pos + len(header)] != header:
+            raise CheckpointFormatError(f"{path}: the header at offset {pos} is not that "
+                                        f"of parameter {name} with shape {shape}")
+        pos += len(header)
+        values = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=pos)
+        pos += values.nbytes
         if not np.isfinite(values).all():
             raise CheckpointFormatError(f"{path}: parameter {name} has non-finite values")
         params[name] = Param(name, values.reshape(shape).copy())
-    if pos != len(blob):
-        raise CheckpointFormatError(
-            f"{path}: {len(blob) - pos} trailing bytes after the last parameter")
     return ModelParams(config, params), norm

@@ -89,17 +89,17 @@ class ScoreNorm:
         return cls(mean=d["mean"], half_range=d["half_range"])
 
 
-def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig,
-         training: bool = False, rng=None):
-    """(loss, trace): the loss is the summed squared score error of the
-    (N, L, D) batch x against its (N,) normalized targets plus the weighted
-    attention coverage penalty, as a scalar Tensor whose backward adds its
-    gradient into the Params. Weight decay is applied in the optimizer step.
+def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig, rng=None):
+    """(loss, trace) of one training pass, whose dropout masks come from rng:
+    the loss is the summed squared score error of the (N, L, D) batch x
+    against its (N,) normalized targets plus the weighted attention coverage
+    penalty, as a scalar Tensor whose backward adds its gradient into the
+    Params. Weight decay is applied in the optimizer step.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
         raise ValueError("loss: non-finite target")
-    trace = mdl.forward(x, params, training=training, rng=rng)
+    trace = mdl.forward(x, params, training=True, rng=rng)
     if targets.shape != trace.y.shape:
         raise ag.DimensionError(f"loss: targets shape {targets.shape}, "
                                 f"scores shape {trace.y.shape}")
@@ -119,24 +119,26 @@ class AdamState:
 
 
 def adam_step(params, opt_state: AdamState, cfg: TrainConfig) -> None:
-    """Bias-corrected Adam; weight decay decoupled from the adaptive update."""
+    """Bias-corrected Adam; weight decay decoupled from the adaptive update.
+    Each Param's update is formed in place, in two weight-sized temporaries."""
     opt_state.t += 1
     t = opt_state.t
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate
     for p in params:
-        theta = p.data
+        theta, g = p.data, p.grad
+        m, v = opt_state.m[p.name], opt_state.v[p.name]
+        num, den = np.empty_like(theta), np.empty_like(theta)
         if cfg.weight_decay > 0.0:
-            theta -= cfg.learning_rate * cfg.weight_decay * theta
-        g = p.grad
-        m = opt_state.m[p.name]
-        v = opt_state.v[p.name]
+            theta -= np.multiply(theta, lr * cfg.weight_decay, out=num)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=num)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=den), g, out=den)
+        # (lr * m_hat) / (sqrt(v_hat) + eps), in that order
+        np.multiply(np.divide(m, 1.0 - b1 ** t, out=num), lr, out=num)
+        np.sqrt(np.divide(v, 1.0 - b2 ** t, out=den), out=den)
+        den += cfg.adam_eps
+        theta -= np.divide(num, den, out=num)
 
 
 def _sub_batch(config: mdl.ModelConfig, cap: int) -> int:
@@ -151,7 +153,7 @@ def _backward_pass(records, params: mdl.ModelParams, train_cfg: TrainConfig,
     return that loss. Its pass is freed on return, before the next runs."""
     x = np.stack([r.features for r in records], dtype=np.float64)
     targets = [norm.normalize(r.score) for r in records]
-    total, _ = loss(x, targets, params, train_cfg, training=True, rng=rng)
+    total, _ = loss(x, targets, params, train_cfg, rng=rng)
     value = total.item()
     if not math.isfinite(value):
         raise ag.NonFiniteError(f"train_epoch: non-finite loss {value}")
@@ -193,7 +195,7 @@ def _scores(params: mdl.ModelParams, norm: ScoreNorm, x):
     scores, raw trace without steps, so no backward). As in fit, overflows
     are left to the finiteness checks, so numpy prints no warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = mdl.forward(x, params, training=False, keep_steps=False)
+        trace = mdl.forward(x, params)
         y = norm.denormalize(trace.y)
     bad = ~np.isfinite(y)
     if bad.any():
@@ -226,30 +228,16 @@ def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
 
 
 @dataclass
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    val_mse: float
-    val_rho: float | None
-
-
-@dataclass
 class TrainReport:
-    epochs: list[EpochRecord] = field(default_factory=list)
+    epochs: list[dict] = field(default_factory=list)  # the report.jsonl records
     best_epoch: int = 0
     best_rho: float = float("-inf")
-    stopped_early: bool = False
     stop_reason: str = "max_epochs"
 
     def to_jsonl(self, path) -> None:
         with atomic_open(path) as f:
             for e in self.epochs:
-                f.write(json.dumps({
-                    "epoch": e.epoch,
-                    "train_loss": e.train_loss,
-                    "val_mse": e.val_mse,
-                    "val_rho": e.val_rho,
-                }) + "\n")
+                f.write(json.dumps(e) + "\n")
 
 
 @dataclass
@@ -291,7 +279,8 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
             except ag.NonFiniteError as exc:
                 report.stop_reason = f"epoch {epoch}: {exc}"
                 break
-            report.epochs.append(EpochRecord(epoch, train_loss, val_mse, val_rho))
+            report.epochs.append({"epoch": epoch, "train_loss": train_loss,
+                                  "val_mse": val_mse, "val_rho": val_rho})
             if val_rho is not None and val_rho > report.best_rho:
                 report.best_rho = val_rho
                 report.best_epoch = epoch
@@ -300,7 +289,6 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
             else:
                 bad_epochs += 1
                 if bad_epochs >= train_cfg.patience:
-                    report.stopped_early = True
                     report.stop_reason = "patience"
                     break
     if report.best_epoch == 0:

@@ -79,6 +79,14 @@ def test_synth_rejects_tiny_n(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("grid", [["--w", "0"], ["--h", "-2"], ["--d", "1"], ["--n", "3"]])
+def test_synth_rejects_bad_sizes(tmp_path, capsys, grid):
+    code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "data"), "--n", "8"] + grid)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "data").exists()
+
+
 # --- train ------------------------------------------------------------------
 
 def test_train_artifacts_exist(workspace):
@@ -272,6 +280,24 @@ def test_attmap_outputs(workspace, tmp_path, capsys):
     for t in (1, 2, 3):
         pgm = (tmp_path / f"{sample_id}_t{t}.pgm").read_bytes()
         assert pgm.startswith(b"P5\n224 224\n255\n")
+
+
+@pytest.mark.parametrize("sample_id", ["../escaped", "sub/name", "..", ".", ""])
+def test_attmap_refuses_an_id_that_leaves_out(workspace, tmp_path, capsys, sample_id):
+    # a manifest may hold any id string, but attmap names its files by it
+    manifest = dat.load_manifest(workspace["manifest"])
+    data_dir = os.path.dirname(workspace["manifest"])
+    for r in manifest.records:
+        r.path = os.path.join(data_dir, r.path)
+    manifest.records[0].id = sample_id
+    dat.save_manifest(tmp_path / "manifest.json", manifest)
+    maps = tmp_path / "maps"
+    code, out, err = run(capsys, ["attmap", "--checkpoint", workspace["checkpoint"],
+                                  "--manifest", str(tmp_path / "manifest.json"),
+                                  "--out", str(maps), "--id", sample_id])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
 def test_attmap_disabled_attention_constant_heatmaps(workspace, tmp_path, capsys):

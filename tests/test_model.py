@@ -1,8 +1,10 @@
 import errno
+import hashlib
 import json
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -374,9 +376,9 @@ def test_penalty_naive_loop_oracle():
 def test_full_loss_gradients_match_finite_differences():
     # gradients reach every Param, with attention on and off, and with
     # dropout on: the rng is re-seeded per build, so the masks stay fixed
-    cases = [(tiny_config(attention_enabled=enabled), 1, False) for enabled in (True, False)]
-    cases.append((tiny_config(dropout_rate=0.5, dropout_z=0.5), 2, True))
-    for cfg, n, training in cases:
+    cases = [(tiny_config(attention_enabled=enabled), 1) for enabled in (True, False)]
+    cases.append((tiny_config(dropout_rate=0.5, dropout_z=0.5), 2))
+    for cfg, n in cases:
         params = mdl.init_params(cfg)
         x = random_features(cfg, seed=16, n=n)
         targets = [0.4, -0.3][:n]
@@ -384,7 +386,7 @@ def test_full_loss_gradients_match_finite_differences():
 
         def build():
             rng = np.random.default_rng(17)
-            total, _ = trn.loss(x, targets, params, tcfg, training=training, rng=rng)
+            total, _ = trn.loss(x, targets, params, tcfg, rng=rng)
             return total
 
         report = ag.gradient_check(build, params.params(), step=1e-5)
@@ -470,7 +472,10 @@ def test_eval_pass_keeps_no_step_arrays():
         lambda: trn._scores(params, trn.ScoreNorm(0.5, 0.5), x))
     assert trace.steps == [] and len(trace.alpha) == len(trace.m) == cfg.t
     assert held < x.nbytes / 4, held  # no (N, L, D) array outlives the pass
-    with_steps = mdl.forward(x, params)
+    # a training pass on the same weights without dropout keeps its steps
+    no_dropout = replace(cfg, dropout_rate=0.0, dropout_z=0.0)
+    with_steps = mdl.forward(x, mdl.ModelParams(no_dropout, {p.name: p for p in params.params()}),
+                             training=True)
     assert len(with_steps.steps) == cfg.t
     np.testing.assert_array_equal(trace.y, with_steps.y)
 
@@ -486,8 +491,7 @@ def test_train_pass_peak_memory():
     tcfg = trn.TrainConfig(penalty_weight=1e-4)
 
     def train_pass():
-        total, _ = trn.loss(x, np.zeros(4), params, tcfg, training=True,
-                            rng=np.random.default_rng(22))
+        total, _ = trn.loss(x, np.zeros(4), params, tcfg, rng=np.random.default_rng(22))
         total.backward()
 
     peak, _, _ = traced_peak(train_pass)
@@ -542,6 +546,15 @@ def edited_meta(blob, edit):
     return with_meta(blob, meta)
 
 
+def swapped_dims(blob, name=b"att_U"):
+    """blob with the stored shape of name, (D, B), written as (B, D): the
+    file keeps its size."""
+    at = blob.index(name) + len(name)
+    rank, rows, cols = struct.unpack_from("<III", blob, at)
+    assert rank == 2 and rows != cols
+    return blob[:at] + struct.pack("<III", rank, cols, rows) + blob[at + 12:]
+
+
 CORRUPTIONS = {
     "empty": lambda b: b"",
     "cut in header": lambda b: b[:10],
@@ -560,6 +573,7 @@ CORRUPTIONS = {
     "norm missing key": lambda b: edited_meta(b, lambda m: m["norm"].pop("mean")),
     "norm null": lambda b: edited_meta(b, lambda m: m.update(norm=None)),
     "parameter renamed": lambda b: b.replace(b"att_U", b"att_V", 1),
+    "dims swapped": swapped_dims,
     "trailing bytes": lambda b: b + b"\0\0",
 }
 
@@ -569,8 +583,19 @@ def test_checkpoint_corruption_is_format_error(tmp_path, corruption):
     path = tmp_path / "model.amwt"
     mdl.save_checkpoint(path, mdl.init_params(tiny_config()), norm=NORM)
     path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
-    with pytest.raises(mdl.CheckpointFormatError):
+    with pytest.raises(mdl.CheckpointFormatError) as info:
         mdl.load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # sha256 of the checkpoint of a fixed config and norm, as first written
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, mdl.init_params(tiny_config()), norm=NORM)
+    blob = path.read_bytes()
+    assert len(blob) == 6211
+    assert hashlib.sha256(blob).hexdigest() == (
+        "85ec4f5ac959dc1e5ea55153aa0154564235d2f262b8d1cd5f826a87c8a5335b")
 
 
 def test_checkpoint_non_finite_weights_rejected(tmp_path):

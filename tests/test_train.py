@@ -169,6 +169,36 @@ def test_adam_decoupled_weight_decay():
     assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
+def test_adam_in_place_update_equals_the_array_formula_exactly():
+    # the update formed in place is bit for bit the one the array formula
+    # gives, weight decay and a 0-d Param included
+    rng = np.random.default_rng(30)
+    params = [Param("w", rng.normal(size=(5, 4))), Param("b", rng.normal(size=()))]
+    state = trn.AdamState(params)
+    cfg = trn.TrainConfig(learning_rate=0.01, weight_decay=0.1)
+    b1, b2, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate
+    expected = {p.name: (p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape))
+                for p in params}
+    for t in range(1, 5):
+        for p in params:
+            p.grad[...] = rng.normal(size=p.data.shape)
+        trn.adam_step(params, state, cfg)
+        for p in params:
+            theta, m, v = expected[p.name]
+            g = p.grad
+            theta -= lr * cfg.weight_decay * theta
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            np.testing.assert_array_equal(p.data, theta)
+            np.testing.assert_array_equal(state.m[p.name], m)
+            np.testing.assert_array_equal(state.v[p.name], v)
+
+
 def test_train_config_paper_defaults():
     cfg = trn.TrainConfig()
     assert cfg.learning_rate == 1e-3
@@ -334,24 +364,24 @@ def test_early_stopping_patience_one(tmp_path):
     assert result.report.best_epoch == 2
     assert result.report.best_rho == 0.5
     assert len(result.report.epochs) == 3
-    assert result.report.stopped_early
+    assert result.report.stop_reason == "patience"
 
 
 def test_single_epoch_not_early_stopped(tmp_path):
     result = injected_fit([0.3], tmp_path, patience=1, max_epochs=1)
     assert len(result.report.epochs) == 1
-    assert not result.report.stopped_early
+    assert result.report.stop_reason != "patience"
 
 
 def test_monotone_improvement_runs_to_max_epochs(tmp_path):
     result = injected_fit([0.1, 0.2, 0.3, 0.4], tmp_path, patience=2)
     assert result.report.best_epoch == 4
-    assert not result.report.stopped_early
+    assert result.report.stop_reason != "patience"
 
 
 def test_best_rho_is_max_of_recorded(tmp_path):
     result = injected_fit([0.3, 0.6, 0.1, 0.2], tmp_path, patience=2)
-    assert result.report.best_rho == max(e.val_rho for e in result.report.epochs)
+    assert result.report.best_rho == max(e["val_rho"] for e in result.report.epochs)
 
 
 def test_fit_deterministic_report(tmp_path):
@@ -373,7 +403,7 @@ def test_loss_decreases_smoothly_without_attention(tmp_path):
     tcfg = trn.TrainConfig(learning_rate=1e-4, penalty_weight=0.0, batch_size=8,
                            max_epochs=10, patience=10, seed=0)
     report = trn.fit(train_set, val_set, cfg, tcfg).report
-    losses = [e.train_loss for e in report.epochs]
+    losses = [e["train_loss"] for e in report.epochs]
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev * 1.10
 
@@ -382,7 +412,7 @@ def test_undefined_rho_is_no_improvement_and_written_as_null(tmp_path):
     result = injected_fit([0.2, None, 0.4, None, None], tmp_path, patience=2)
     report = result.report
     assert report.best_epoch == 3 and report.best_rho == 0.4
-    assert report.stopped_early and report.stop_reason == "patience"
+    assert report.stop_reason == "patience"
     path = tmp_path / "report.jsonl"
     report.to_jsonl(path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -402,8 +432,8 @@ def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path):
     records = tiny_dataset(tmp_path, n=12)
     tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
     result = trn.fit(records[:8], records[8:], tiny_config(), tcfg, eval_fn=eval_fn)
-    assert [e.epoch for e in result.report.epochs] == [1, 2]
-    assert result.report.best_epoch == 2 and not result.report.stopped_early
+    assert [e["epoch"] for e in result.report.epochs] == [1, 2]
+    assert result.report.best_epoch == 2 and result.report.stop_reason != "patience"
     assert result.report.stop_reason == "epoch 3: predict: non-finite score nan"
     for name, values in snapshots[1].items():
         np.testing.assert_array_equal(result.params[name].data, values)
