@@ -1,21 +1,3 @@
 """Attention-recurrent memorability regression at desk scale."""
 
-from .model import ModelConfig, ModelParams, ForwardTrace, forward, init_params
-from .train import TrainConfig, ScoreNorm, fit
-from .metrics import spearman_rho, mse, fractional_ranks
-
-__all__ = [
-    "ModelConfig",
-    "ModelParams",
-    "ForwardTrace",
-    "forward",
-    "init_params",
-    "TrainConfig",
-    "ScoreNorm",
-    "fit",
-    "spearman_rho",
-    "mse",
-    "fractional_ranks",
-]
-
 __version__ = "0.1.0"

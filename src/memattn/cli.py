@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,7 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path):
-    """The --config JSON object; it may hold only model and train sections, both objects."""
+    """The --config JSON object; it may hold only model and train sections,
+    both objects, and the model section may not set the manifest's grid."""
     if path is None:
         return {}
     with open(path) as f:
@@ -50,6 +52,9 @@ def _load_config_file(path):
             raise CliError(f"{path}: unknown section {section!r}, expected model or train")
         if not isinstance(block, dict):
             raise CliError(f"{path}: section {section!r} must be a JSON object")
+    for key in ("w", "h", "d"):
+        if key in config.get("model", {}):
+            raise CliError(f"{path}: model field {key!r} is set by the manifest")
     return config
 
 
@@ -93,12 +98,12 @@ def cmd_train(args) -> int:
     manifest, manifest_dir = _load_manifest(args.manifest)
     train_set = dat.load_split(manifest, manifest_dir, "train")
     val_set = dat.load_split(manifest, manifest_dir, "val")
-    if not train_set or not val_set:
-        raise CliError("manifest needs non-empty train and val splits")
+    if not train_set or len(val_set) < 2:
+        raise CliError("manifest needs a non-empty train split and 2 or more val records")
     model_cfg = _config(
         mdl.ModelConfig(b=32, fm_hidden=32, dropout_rate=0.0, dropout_z=0.0),
         "model", config_file.get("model", {}),
-        # manifest dims always win: features on disk fix the input contract
+        # the grid comes from the manifest alone: features on disk fix the input contract
         w=manifest.w, h=manifest.h, d=manifest.d, seed=args.seed,
         attention_enabled=False if args.no_attention else None,
     )
@@ -107,39 +112,36 @@ def cmd_train(args) -> int:
     result = trn.fit(train_set, val_set, model_cfg, train_cfg)
     os.makedirs(args.out, exist_ok=True)
     checkpoint_path = os.path.join(args.out, "checkpoint.amwt")
-    mdl.save_checkpoint(checkpoint_path, result.params, norm=result.norm.as_dict())
-    result.report.to_jsonl(os.path.join(args.out, "report.jsonl"))
-    best = result.report
+    mdl.save_checkpoint(checkpoint_path, result.params, norm=dataclasses.asdict(result.norm))
+    result.to_jsonl(os.path.join(args.out, "report.jsonl"))
     print(json.dumps({
-        "best_epoch": best.best_epoch,
-        "val_rho": best.best_rho,
-        "val_mse": best.epochs[best.best_epoch - 1]["val_mse"],
-        "epochs_run": len(best.epochs),
-        "stopped_early": best.stop_reason == "patience",
-        "stop_reason": best.stop_reason,
+        "best_epoch": result.best_epoch,
+        "val_rho": result.best_rho,
+        "val_mse": result.epochs[result.best_epoch - 1]["val_mse"],
+        "epochs_run": len(result.epochs),
+        "stopped_early": result.stop_reason == "patience",
+        "stop_reason": result.stop_reason,
         "checkpoint": checkpoint_path,
     }))
     return EXIT_OK
 
 
-def _eval_manifest(params, norm, manifest_path, split):
-    manifest, manifest_dir = _load_manifest(manifest_path, params.config)
-    records = dat.load_split(manifest, manifest_dir, split)
-    if not records:
-        raise CliError(f"{manifest_path}: split {split!r} is empty")
-    rho, mse = trn.evaluate(params, norm, records)
-    if rho is None:
-        raise CliError(f"{manifest_path}: rho of split {split!r} is undefined: the "
-                       f"predictions or the scores are constant", EXIT_VERIFY)
-    return {"rho": rho, "mse": mse, "n": len(records)}
-
-
 def cmd_eval(args) -> int:
     params, norm = _load_checkpoint(args.checkpoint)
-    manifests = args.splits if args.splits else [args.manifest]
-    if not manifests or manifests[0] is None:
-        raise CliError("eval needs --manifest or --splits")
-    results = [_eval_manifest(params, norm, m, args.split) for m in manifests]
+    # every manifest's grid and split size is checked before the first pass runs
+    manifests = [(path, *_load_manifest(path, params.config)) for path in args.manifest]
+    for path, manifest, _ in manifests:
+        size = len(manifest.split_records(args.split))
+        if size < 2:
+            raise CliError(f"{path}: split {args.split!r} needs 2 or more records, has {size}")
+    results = []
+    for path, manifest, manifest_dir in manifests:
+        records = dat.load_split(manifest, manifest_dir, args.split)
+        rho, mse = trn.evaluate(params, norm, records)
+        if rho is None:
+            raise CliError(f"{path}: rho of split {args.split!r} is undefined: the "
+                           f"predictions or the scores are constant", EXIT_VERIFY)
+        results.append({"rho": rho, "mse": mse, "n": len(records)})
     if len(results) == 1:
         print(json.dumps(results[0]))
     else:
@@ -210,6 +212,7 @@ def gradcheck_report(step: float = 1e-5, seed: int = 0):
         w=3, h=3, d=8, b=6, t=3, fm_hidden=5,
         dropout_rate=0.0, dropout_z=0.0, seed=seed,
     )
+    cfg.validate()
     params = mdl.init_params(cfg)
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(size=(2, cfg.num_locations, cfg.d))
@@ -225,7 +228,10 @@ def gradcheck_report(step: float = 1e-5, seed: int = 0):
 
 def cmd_gradcheck(args) -> int:
     start = time.time()
-    report = gradcheck_report(seed=args.seed if args.seed is not None else 0)
+    try:
+        report = gradcheck_report(seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     worst_name = max(report, key=report.get)
     ok = True
     for name, err in report.items():
@@ -244,7 +250,7 @@ def cmd_synth(args) -> int:
     try:
         manifest, _ = dat.synth_dataset(
             args.n, args.out,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
             w=args.w, h=args.h, d=args.d, noise=args.noise,
         )
     except ValueError as exc:
@@ -274,8 +280,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="report rank correlation and MSE")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest")
-    p.add_argument("--splits", nargs="+", help="evaluate several manifests, report mean")
+    p.add_argument("--manifest", nargs="+", required=True,
+                   help="one manifest, or several to report the mean")
     p.add_argument("--split", default="test", choices=dat.SPLITS)
     p.set_defaults(func=cmd_eval)
 
@@ -293,13 +299,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_attmap)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--w", type=int, default=7)
     p.add_argument("--h", type=int, default=7)
     p.add_argument("--d", type=int, default=32)

@@ -54,6 +54,8 @@ class ModelConfig:
         for rate in (self.dropout_rate, self.dropout_z):
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"dropout rate {rate} outside [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
 
 
 def _param_shapes(cfg: ModelConfig):
@@ -376,7 +378,7 @@ def save_checkpoint(path, params: ModelParams, norm: dict) -> None:
     """Binary checkpoint: magic, u32 version, u32 meta length, JSON meta
     block, then each parameter's _param_header and little-endian f64 values.
 
-    norm is the score normalization {"mean", "half_range"} of ScoreNorm.as_dict.
+    norm is the score normalization {"mean", "half_range"} of a ScoreNorm.
     """
     meta = json.dumps({"config": asdict(params.config), "norm": norm}).encode("utf-8")
     with atomic_open(path, "wb") as f:
@@ -394,8 +396,8 @@ def read_config(base, block: dict):
     """base, a config dataclass, with the fields of block applied.
 
     ValueError unless each key of block is a field and its value has the
-    field's type (a float field also takes an int), and unless the result
-    passes validate().
+    field's type (a float field also takes an int, and must be finite), and
+    unless the result passes validate().
     """
     hints = typing.get_type_hints(type(base))
     for key, value in block.items():
@@ -403,6 +405,8 @@ def read_config(base, block: dict):
             raise ValueError(f"unknown field {key!r}")
         if type(value) not in ((int, float) if hints[key] is float else (hints[key],)):
             raise ValueError(f"field {key!r} must be {hints[key].__name__}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"field {key!r} must be finite, got {value!r}")
     config = replace(base, **block)
     config.validate()
     return config

@@ -29,6 +29,7 @@ from .metrics import mse as mse_metric
 # ablation shape at 32, as larger passes there run no faster and hold more.
 BUDGET = 4 * 14 * 14 * 256
 MAX_PASS = 32
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class DegenerateDatasetError(ValueError):
@@ -47,9 +48,6 @@ class TrainConfig:
     batch_size: int = 256
     max_epochs: int = 50
     patience: int = 10
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def validate(self) -> None:
@@ -59,6 +57,8 @@ class TrainConfig:
             raise ValueError("penalty_weight and weight_decay must be >= 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,6 @@ class ScoreNorm:
 
     def denormalize(self, v: float) -> float:
         return v * self.half_range + self.mean
-
-    def as_dict(self) -> dict:
-        return {"mean": self.mean, "half_range": self.half_range}
 
     @classmethod
     def from_dict(cls, d) -> "ScoreNorm":
@@ -123,7 +120,7 @@ def adam_step(params, opt_state: AdamState, cfg: TrainConfig) -> None:
     Each Param's update is formed in place, in two weight-sized temporaries."""
     opt_state.t += 1
     t = opt_state.t
-    b1, b2, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate
     for p in params:
         theta, g = p.data, p.grad
         m, v = opt_state.m[p.name], opt_state.v[p.name]
@@ -137,14 +134,14 @@ def adam_step(params, opt_state: AdamState, cfg: TrainConfig) -> None:
         # (lr * m_hat) / (sqrt(v_hat) + eps), in that order
         np.multiply(np.divide(m, 1.0 - b1 ** t, out=num), lr, out=num)
         np.sqrt(np.divide(v, 1.0 - b2 ** t, out=den), out=den)
-        den += cfg.adam_eps
+        den += ADAM_EPS
         theta -= np.divide(num, den, out=num)
 
 
-def _sub_batch(config: mdl.ModelConfig, cap: int) -> int:
+def _sub_batch(config: mdl.ModelConfig) -> int:
     """Samples per batched pass: BUDGET feature values, at least 1, at most
-    cap and MAX_PASS."""
-    return max(1, min(cap, MAX_PASS, BUDGET // (config.num_locations * config.d)))
+    MAX_PASS. A shorter batch or record list runs as one pass."""
+    return max(1, min(MAX_PASS, BUDGET // (config.num_locations * config.d)))
 
 
 def _backward_pass(records, params: mdl.ModelParams, train_cfg: TrainConfig,
@@ -175,7 +172,7 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
     n = len(train_set)
     order = rng.permutation(n)
     param_list = params.params()
-    step = _sub_batch(params.config, train_cfg.batch_size)
+    step = _sub_batch(params.config)
     total_loss = 0.0
     for start in range(0, n, train_cfg.batch_size):
         batch = order[start : start + train_cfg.batch_size]
@@ -213,7 +210,7 @@ def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
     """(rho, mse) of the denormalized, clamped predictions, from eval
     passes of _sub_batch samples; rho is None when the predictions or the
     scores are constant, which leaves it undefined."""
-    step = _sub_batch(params.config, len(records))
+    step = _sub_batch(params.config)
     preds = np.concatenate([
         _scores(params, norm, np.stack([r.features for r in records[i : i + step]],
                                        dtype=np.float64))[0]
@@ -228,7 +225,9 @@ def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
 
 
 @dataclass
-class TrainReport:
+class FitResult:
+    params: mdl.ModelParams
+    norm: ScoreNorm
     epochs: list[dict] = field(default_factory=list)  # the report.jsonl records
     best_epoch: int = 0
     best_rho: float = float("-inf")
@@ -240,13 +239,6 @@ class TrainReport:
                 f.write(json.dumps(e) + "\n")
 
 
-@dataclass
-class FitResult:
-    params: mdl.ModelParams
-    report: TrainReport
-    norm: ScoreNorm
-
-
 def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
         eval_fn=None) -> FitResult:
     """Full training loop with early stopping on validation rank correlation.
@@ -254,7 +246,7 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
     eval_fn(params) -> (rho, mse) may be injected for testing; the default
     evaluates the validation set in eval mode. An epoch whose rho is None
     (undefined) is no improvement. A non-finite loss or prediction ends
-    the run; report.stop_reason says what ended it. The returned params
+    the run; stop_reason says what ended it. The returned params
     are those of the best epoch; NoValidEpochError if no epoch had a rho.
     Overflows are left to those checks, so numpy prints no warnings.
     """
@@ -268,7 +260,7 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
     if eval_fn is None:
         eval_fn = lambda p: evaluate(p, norm, val_set)
 
-    report = TrainReport()
+    result = FitResult(params=params, norm=norm)
     best_values = None  # taken at the first improvement, then overwritten
     bad_epochs = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,22 +269,22 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
                 train_loss = train_epoch(train_set, params, opt_state, train_cfg, norm, rng)
                 val_rho, val_mse = eval_fn(params)
             except ag.NonFiniteError as exc:
-                report.stop_reason = f"epoch {epoch}: {exc}"
+                result.stop_reason = f"epoch {epoch}: {exc}"
                 break
-            report.epochs.append({"epoch": epoch, "train_loss": train_loss,
+            result.epochs.append({"epoch": epoch, "train_loss": train_loss,
                                   "val_mse": val_mse, "val_rho": val_rho})
-            if val_rho is not None and val_rho > report.best_rho:
-                report.best_rho = val_rho
-                report.best_epoch = epoch
+            if val_rho is not None and val_rho > result.best_rho:
+                result.best_rho = val_rho
+                result.best_epoch = epoch
                 best_values = params.snapshot(out=best_values)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
                 if bad_epochs >= train_cfg.patience:
-                    report.stop_reason = "patience"
+                    result.stop_reason = "patience"
                     break
-    if report.best_epoch == 0:
+    if result.best_epoch == 0:
         raise NoValidEpochError(
-            f"fit: no epoch had a defined validation rho (stopped: {report.stop_reason})")
+            f"fit: no epoch had a defined validation rho (stopped: {result.stop_reason})")
     params.load_snapshot(best_values)
-    return FitResult(params=params, report=report, norm=norm)
+    return result

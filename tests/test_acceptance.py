@@ -225,7 +225,7 @@ def test_early_stopping_contract(tmp_path):
 
     tcfg = trn.TrainConfig(batch_size=16, max_epochs=4, patience=2, seed=0)
     result = trn.fit(train_set, val_set, cfg, tcfg, eval_fn=eval_fn)
-    ok = result.report.best_epoch == 2 and result.report.best_rho == 0.7
+    ok = result.best_epoch == 2 and result.best_rho == 0.7
     for name, values in snapshots[1].items():
         ok = ok and np.array_equal(result.params.snapshot()[name], values)
 
@@ -233,5 +233,5 @@ def test_early_stopping_contract(tmp_path):
     tcfg = trn.TrainConfig(batch_size=16, max_epochs=5, patience=5, seed=0)
     result = trn.fit(train_set, val_set, cfg, tcfg)
     rho, _ = trn.evaluate(result.params, result.norm, val_set)
-    ok = ok and abs(rho - result.report.best_rho) < 1e-12
+    ok = ok and abs(rho - result.best_rho) < 1e-12
     report("early stopping returns the max-rho checkpoint", ok)

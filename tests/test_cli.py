@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +15,8 @@ from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
 from memattn.cli import (
-    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, GRADCHECK_TOLERANCE, gradcheck_report,
-    heatmap_bytes, main,
+    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, GRADCHECK_TOLERANCE, CliError,
+    _load_config_file, build_parser, gradcheck_report, heatmap_bytes, main,
 )
 
 CONFIG = {
@@ -187,7 +189,7 @@ def test_eval_reproduces_reported_val_rho(workspace, capsys):
 
 def test_eval_multi_split_mean(workspace, capsys):
     code, out, _ = run(capsys, ["eval", "--checkpoint", workspace["checkpoint"],
-                                "--splits", workspace["manifest"], workspace["manifest"]])
+                                "--manifest", workspace["manifest"], workspace["manifest"]])
     assert code == EXIT_OK
     info = json.loads(out)
     rhos = [s["rho"] for s in info["splits"]]
@@ -369,6 +371,42 @@ def test_gradcheck_negative_control(monkeypatch, capsys):
 
 # --- usage ------------------------------------------------------------------
 
+SURFACE = {
+    "train": ["--config", "--manifest", "--no-attention", "--out", "--seed"],
+    "eval": ["--checkpoint", "--manifest", "--split"],
+    "predict": ["--checkpoint", "--manifest", "ids"],
+    "attmap": ["--checkpoint", "--id", "--manifest", "--out"],
+    "gradcheck": ["--seed"],
+    "synth": ["--d", "--h", "--n", "--noise", "--out", "--seed", "--w"],
+}
+CONFIG_KEYS = {
+    "model": ["b", "t", "fm_hidden", "dropout_rate", "dropout_z", "attention_enabled", "seed"],
+    "train": ["learning_rate", "penalty_weight", "weight_decay", "batch_size", "max_epochs",
+              "patience", "seed"],
+}
+
+
+def test_cli_and_config_surface(tmp_path):
+    (subcommands,) = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: sorted(a.option_strings[0] if a.option_strings else a.dest
+                          for a in p._actions if not isinstance(a, argparse._HelpAction))
+             for name, p in subcommands.choices.items()}
+    assert flags == SURFACE
+    assert sum(map(len, flags.values())) == 23
+    config = tmp_path / "config.json"
+    accepted = {}
+    for section, cls in (("model", mdl.ModelConfig), ("train", trn.TrainConfig)):
+        accepted[section] = []
+        for f in dataclasses.fields(cls):
+            config.write_text(json.dumps({section: {f.name: f.default}}))
+            with contextlib.suppress(CliError):
+                _load_config_file(str(config))
+                accepted[section].append(f.name)
+    assert accepted == CONFIG_KEYS
+    assert sum(map(len, accepted.values())) == 14
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, ["train"])
     assert code == EXIT_USAGE
@@ -387,20 +425,70 @@ def test_removed_flags_are_usage_errors(workspace, tmp_path, monkeypatch, capsys
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("model_block, field", [
-    ({"t": "3"}, "t"),
-    ({"attention_enabled": "false"}, "attention_enabled"),
-    ({"dropout_rate": 1.5}, "dropout rate"),
+@pytest.mark.parametrize("section, block, field", [
+    ("model", {"t": "3"}, "t"),
+    ("model", {"attention_enabled": "false"}, "attention_enabled"),
+    ("model", {"dropout_rate": 1.5}, "dropout rate"),
+    ("model", {"dropout_z": float("nan")}, "dropout_z"),
+    ("train", {"weight_decay": float("nan")}, "weight_decay"),
+    ("train", {"learning_rate": float("inf")}, "learning_rate"),
+    ("model", {"seed": -1}, "seed"),
+    ("train", {"seed": -1}, "seed"),
+    # the manifest sets the grid, even to the value it already has
+    ("model", {"w": 2}, "'w'"),
 ])
-def test_bad_config_value_is_usage_error(workspace, tmp_path, capsys,
-                                           model_block, field):
+def test_bad_config_value_is_usage_error(workspace, tmp_path, capsys, section, block, field):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model": model_block}))
+    config.write_text(json.dumps({section: block}))
     code, _, err = run(capsys, ["train", "--manifest", workspace["manifest"],
                                 "--config", str(config), "--out", str(tmp_path / "run")])
     assert code == EXIT_USAGE
-    assert err.startswith("error:") and field in err
+    assert err.startswith("error:") and err.count("\n") == 1 and field in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [["train", "--out", "run", "--seed", "-1"],
+                                  ["gradcheck", "--seed", "-1"]])
+def test_negative_seed_is_usage_error(workspace, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "train":
+        argv = argv + ["--manifest", workspace["manifest"]]
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--out", "run"],
+    ["eval", "--split", "val"],
+    ["eval", "--split", "test"],
+])
+def test_one_record_split_is_usage_error(workspace, tmp_path, monkeypatch, capsys, command):
+    # val and test keep one record each; eval gets one.json second, so a check
+    # made per manifest after its pass would let the whole manifest's pass run
+    with open(workspace["manifest"]) as f:
+        payload = json.load(f)
+    data_dir = os.path.dirname(workspace["manifest"])
+    kept, seen = [], set()
+    for r in payload["records"]:
+        r["path"] = os.path.join(data_dir, r["path"])
+        if r["split"] == "train" or r["split"] not in seen:
+            kept.append(r)
+            seen.add(r["split"])
+    (tmp_path / "one.json").write_text(json.dumps({**payload, "records": kept}))
+    monkeypatch.chdir(tmp_path)
+    passes = []
+    monkeypatch.setattr(trn, "evaluate", lambda *args: passes.append(args))
+    if command[0] == "train":
+        argv = command + ["--manifest", "one.json"]
+    else:
+        argv = command + ["--checkpoint", workspace["checkpoint"],
+                          "--manifest", workspace["manifest"], "one.json"]
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert passes == [] and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -65,6 +65,12 @@ def test_rho_constant_side_rejected():
         spearman_rho([0.1, 0.2, 0.3], [0.5, 0.5, 0.5])
 
 
+def test_rho_single_pair_is_undefined():
+    # one pair has one rank on each side, so it is the constant case
+    with pytest.raises(ConstantInputError):
+        spearman_rho([0.1], [0.9])
+
+
 def test_rho_in_range():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 
 import numpy as np
@@ -176,7 +175,7 @@ def test_adam_in_place_update_equals_the_array_formula_exactly():
     params = [Param("w", rng.normal(size=(5, 4))), Param("b", rng.normal(size=()))]
     state = trn.AdamState(params)
     cfg = trn.TrainConfig(learning_rate=0.01, weight_decay=0.1)
-    b1, b2, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate
+    b1, b2, lr = trn.ADAM_BETA1, trn.ADAM_BETA2, cfg.learning_rate
     expected = {p.name: (p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape))
                 for p in params}
     for t in range(1, 5):
@@ -193,7 +192,7 @@ def test_adam_in_place_update_equals_the_array_formula_exactly():
             v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            theta -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + trn.ADAM_EPS)
             np.testing.assert_array_equal(p.data, theta)
             np.testing.assert_array_equal(state.m[p.name], m)
             np.testing.assert_array_equal(state.v[p.name], v)
@@ -205,7 +204,7 @@ def test_train_config_paper_defaults():
     assert cfg.penalty_weight == 1e-4
     assert cfg.weight_decay == 1e-6
     assert cfg.batch_size == 256
-    assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
+    assert (trn.ADAM_BETA1, trn.ADAM_BETA2, trn.ADAM_EPS) == (0.9, 0.999, 1e-8)
 
 
 # --- epochs -----------------------------------------------------------------
@@ -292,13 +291,25 @@ def test_train_epoch_calls_backward_once_per_sub_batch(tmp_path, monkeypatch):
     assert calls == [()] * 6
 
 
-def test_sub_batch_sizes_at_the_benchmark_shapes():
+def test_sub_batch_sizes_at_the_benchmark_shapes(monkeypatch):
     mid = mdl.ModelConfig(w=14, h=14, d=256)
     ablation = mdl.ModelConfig(w=7, h=7, d=32)
-    assert trn._sub_batch(mid, 32) >= 4
-    assert 1 <= trn._sub_batch(ablation, 32) <= 32   # training cap: the batch size
-    assert 1 <= trn._sub_batch(ablation, 300) <= 32  # eval cap: the record count
-    assert trn._sub_batch(mid, 2) == 2
+    assert trn._sub_batch(mid) >= 4
+    assert 1 <= trn._sub_batch(ablation) <= 32
+    # a batch shorter than a pass runs as one pass with one backward
+    cfg = mdl.ModelConfig(w=14, h=14, d=256, b=8, t=3, fm_hidden=4,
+                          dropout_rate=0.0, dropout_z=0.0, seed=0)
+    rng = np.random.default_rng(0)
+    records = [dat.FeatureRecord(id=str(i), features=rng.normal(size=(196, 256)),
+                                 score=score) for i, score in enumerate([0.2, 0.7])]
+    calls = []
+    true_backward = mdl.backward
+    monkeypatch.setattr(mdl, "backward", lambda trace, *args: calls.append(
+        len(trace.y)) or true_backward(trace, *args))
+    params = mdl.init_params(cfg)
+    trn.train_epoch(records, params, trn.AdamState(params.params()),
+                    trn.TrainConfig(batch_size=32), trn.ScoreNorm(0.5, 0.5), rng)
+    assert calls == [2]
 
 
 def test_batched_evaluate_matches_per_sample_predictions(tmp_path, monkeypatch):
@@ -321,7 +332,7 @@ def test_batched_evaluate_matches_per_sample_predictions(tmp_path, monkeypatch):
     monkeypatch.setattr(trn, "_scores", recording_scores)
     rho, mse = trn.evaluate(params, norm, records)
     monkeypatch.undo()
-    assert len(passes[0]) == trn._sub_batch(cfg, len(records)) > 1
+    assert len(passes[0]) == trn._sub_batch(cfg) > 1
     batched = np.concatenate(passes)
     single = np.array([trn.predict(params, norm, r.features)[0] for r in records])
     assert len(np.unique(single)) == len(records)  # no clamping or ties hide a difference
@@ -361,27 +372,27 @@ def injected_fit(rho_sequence, tmp_path, patience, max_epochs=None):
 
 def test_early_stopping_patience_one(tmp_path):
     result = injected_fit([0.2, 0.5, 0.4], tmp_path, patience=1)
-    assert result.report.best_epoch == 2
-    assert result.report.best_rho == 0.5
-    assert len(result.report.epochs) == 3
-    assert result.report.stop_reason == "patience"
+    assert result.best_epoch == 2
+    assert result.best_rho == 0.5
+    assert len(result.epochs) == 3
+    assert result.stop_reason == "patience"
 
 
 def test_single_epoch_not_early_stopped(tmp_path):
     result = injected_fit([0.3], tmp_path, patience=1, max_epochs=1)
-    assert len(result.report.epochs) == 1
-    assert result.report.stop_reason != "patience"
+    assert len(result.epochs) == 1
+    assert result.stop_reason != "patience"
 
 
 def test_monotone_improvement_runs_to_max_epochs(tmp_path):
     result = injected_fit([0.1, 0.2, 0.3, 0.4], tmp_path, patience=2)
-    assert result.report.best_epoch == 4
-    assert result.report.stop_reason != "patience"
+    assert result.best_epoch == 4
+    assert result.stop_reason != "patience"
 
 
 def test_best_rho_is_max_of_recorded(tmp_path):
     result = injected_fit([0.3, 0.6, 0.1, 0.2], tmp_path, patience=2)
-    assert result.report.best_rho == max(e["val_rho"] for e in result.report.epochs)
+    assert result.best_rho == max(e["val_rho"] for e in result.epochs)
 
 
 def test_fit_deterministic_report(tmp_path):
@@ -390,9 +401,10 @@ def test_fit_deterministic_report(tmp_path):
     val_set = dat.load_split(manifest, tmp_path, "val")
     cfg = tiny_config()
     tcfg = trn.TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=1)
-    a = trn.fit(train_set, val_set, cfg, tcfg).report
-    b = trn.fit(train_set, val_set, cfg, tcfg).report
-    assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    a = trn.fit(train_set, val_set, cfg, tcfg)
+    b = trn.fit(train_set, val_set, cfg, tcfg)
+    report = ("epochs", "best_epoch", "best_rho", "stop_reason")
+    assert [getattr(a, k) for k in report] == [getattr(b, k) for k in report]
 
 
 def test_loss_decreases_smoothly_without_attention(tmp_path):
@@ -402,15 +414,14 @@ def test_loss_decreases_smoothly_without_attention(tmp_path):
     cfg = tiny_config(attention_enabled=False)
     tcfg = trn.TrainConfig(learning_rate=1e-4, penalty_weight=0.0, batch_size=8,
                            max_epochs=10, patience=10, seed=0)
-    report = trn.fit(train_set, val_set, cfg, tcfg).report
-    losses = [e["train_loss"] for e in report.epochs]
+    result = trn.fit(train_set, val_set, cfg, tcfg)
+    losses = [e["train_loss"] for e in result.epochs]
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev * 1.10
 
 
 def test_undefined_rho_is_no_improvement_and_written_as_null(tmp_path):
-    result = injected_fit([0.2, None, 0.4, None, None], tmp_path, patience=2)
-    report = result.report
+    report = injected_fit([0.2, None, 0.4, None, None], tmp_path, patience=2)
     assert report.best_epoch == 3 and report.best_rho == 0.4
     assert report.stop_reason == "patience"
     path = tmp_path / "report.jsonl"
@@ -432,9 +443,9 @@ def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path):
     records = tiny_dataset(tmp_path, n=12)
     tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
     result = trn.fit(records[:8], records[8:], tiny_config(), tcfg, eval_fn=eval_fn)
-    assert [e["epoch"] for e in result.report.epochs] == [1, 2]
-    assert result.report.best_epoch == 2 and result.report.stop_reason != "patience"
-    assert result.report.stop_reason == "epoch 3: predict: non-finite score nan"
+    assert [e["epoch"] for e in result.epochs] == [1, 2]
+    assert result.best_epoch == 2 and result.stop_reason != "patience"
+    assert result.stop_reason == "epoch 3: predict: non-finite score nan"
     for name, values in snapshots[1].items():
         np.testing.assert_array_equal(result.params[name].data, values)
 
@@ -467,7 +478,7 @@ def test_fit_keeps_the_best_epoch_across_later_improvements(tmp_path):
     records = tiny_dataset(tmp_path, n=12)
     tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
     result = trn.fit(records[:8], records[8:], tiny_config(), tcfg, eval_fn=eval_fn)
-    assert result.report.best_epoch == 4
+    assert result.best_epoch == 4
     # epoch 5 moved the params after the kept snapshot was last written
     assert any(not np.array_equal(snapshots[4][name], values)
                for name, values in snapshots[3].items())
@@ -483,7 +494,7 @@ def test_no_defined_rho_raises(tmp_path):
 def test_report_jsonl_schema(tmp_path):
     result = injected_fit([0.1, 0.2], tmp_path, patience=2)
     path = tmp_path / "report.jsonl"
-    result.report.to_jsonl(path)
+    result.to_jsonl(path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
     row = json.loads(lines[0])
