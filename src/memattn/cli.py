@@ -96,10 +96,6 @@ def _load_checkpoint(path):
 def cmd_train(args) -> int:
     config_file = _load_config_file(args.config)
     manifest, manifest_dir = _load_manifest(args.manifest)
-    train_set = dat.load_split(manifest, manifest_dir, "train")
-    val_set = dat.load_split(manifest, manifest_dir, "val")
-    if not train_set or len(val_set) < 2:
-        raise CliError("manifest needs a non-empty train split and 2 or more val records")
     model_cfg = _config(
         mdl.ModelConfig(b=32, fm_hidden=32, dropout_rate=0.0, dropout_z=0.0),
         "model", config_file.get("model", {}),
@@ -108,6 +104,11 @@ def cmd_train(args) -> int:
         attention_enabled=False if args.no_attention else None,
     )
     train_cfg = _config(trn.TrainConfig(), "train", config_file.get("train", {}), seed=args.seed)
+    # the configs and split sizes are checked before a feature file is read
+    if not manifest.split_records("train") or len(manifest.split_records("val")) < 2:
+        raise CliError("manifest needs a non-empty train split and 2 or more val records")
+    train_set = dat.load_split(manifest, manifest_dir, "train")
+    val_set = dat.load_split(manifest, manifest_dir, "val")
 
     result = trn.fit(train_set, val_set, model_cfg, train_cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -219,11 +220,8 @@ def gradcheck_report(step: float = 1e-5, seed: int = 0):
     targets = [0.3, -0.5]
     train_cfg = trn.TrainConfig(penalty_weight=1e-4)
 
-    def build_loss():
-        total, _ = trn.loss(x, targets, params, train_cfg)
-        return total
-
-    return gradient_check(build_loss, params.params(), step=step)
+    return gradient_check(lambda: trn.loss(x, targets, params, train_cfg),
+                          params.params(), step=step)
 
 
 def cmd_gradcheck(args) -> int:

@@ -250,9 +250,9 @@ def synth_dataset(
     averages all locations uniformly sees the signal diluted by 1/L.
     Returns (Manifest, SynthSecret) and writes files under out_dir.
     """
-    if n < 4 or w < 1 or h < 1 or d < 2:
-        raise ValueError(f"synth_dataset: need n >= 4, w >= 1, h >= 1 and d >= 2, "
-                         f"got n={n}, w={w}, h={h}, d={d}")
+    if n < 4 or w < 1 or h < 1 or d < 2 or not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"synth_dataset: need n >= 4, w >= 1, h >= 1, d >= 2 and a "
+                         f"finite noise >= 0, got n={n}, w={w}, h={h}, d={d}, noise={noise}")
     rng = np.random.default_rng(seed)
     L = w * h
     weights = rng.normal(size=d - 1)

@@ -3,12 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ConstantInputError", "fractional_ranks", "spearman_rho", "mse"]
-
-
-class ConstantInputError(ValueError):
-    """Rank correlation is undefined when one side has no variation."""
-
 
 def fractional_ranks(values) -> np.ndarray:
     """Ranks starting at 1; ties get the mean of their occupied positions."""
@@ -17,20 +11,15 @@ def fractional_ranks(values) -> np.ndarray:
         raise ValueError("fractional_ranks: expected a non-empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("fractional_ranks: non-finite input")
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+    # a group of c ties that ends at position S holds S - c + 1 .. S; every
+    # rank is an integer or a half, so their mean is exact
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
-def spearman_rho(ground_truth, predictions) -> float:
-    """Pearson correlation of fractional ranks.
+def spearman_rho(ground_truth, predictions) -> float | None:
+    """Pearson correlation of fractional ranks, or None when one side is
+    constant (a single pair included), which leaves it undefined.
 
     Equals the classic 1 - 6*sum(d^2)/(N(N^2-1)) form whenever no ties
     are present.
@@ -46,7 +35,7 @@ def spearman_rho(ground_truth, predictions) -> float:
     na = np.sqrt(np.sum(da * da))
     nb = np.sqrt(np.sum(db * db))
     if na == 0.0 or nb == 0.0:
-        raise ConstantInputError("spearman_rho: undefined for a constant vector")
+        return None
     return float(np.sum(da * db) / (na * nb))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from . import model as mdl
 from .data import atomic_open
-from .metrics import ConstantInputError, spearman_rho
+from .metrics import spearman_rho
 from .metrics import mse as mse_metric
 
 # A batched pass has BUDGET // (L*D) samples, at least 1 and at most
@@ -87,11 +87,11 @@ class ScoreNorm:
 
 
 def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig, rng=None):
-    """(loss, trace) of one training pass, whose dropout masks come from rng:
-    the loss is the summed squared score error of the (N, L, D) batch x
-    against its (N,) normalized targets plus the weighted attention coverage
-    penalty, as a scalar Tensor whose backward adds its gradient into the
-    Params. Weight decay is applied in the optimizer step.
+    """The loss of one training pass, whose dropout masks come from rng: the
+    summed squared score error of the (N, L, D) batch x against its (N,)
+    normalized targets plus the weighted attention coverage penalty, as a
+    scalar Tensor whose backward adds its gradient into the Params. Weight
+    decay is applied in the optimizer step.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
@@ -105,7 +105,7 @@ def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig, rng=None):
     weight = train_cfg.penalty_weight
     if weight > 0.0:
         total = total + mdl.attention_penalty(trace.alpha) * weight
-    return ag.Tensor(total, lambda: mdl.backward(trace, params, 2.0 * diff, weight)), trace
+    return ag.Tensor(total, lambda: mdl.backward(trace, params, 2.0 * diff, weight))
 
 
 class AdamState:
@@ -150,7 +150,7 @@ def _backward_pass(records, params: mdl.ModelParams, train_cfg: TrainConfig,
     return that loss. Its pass is freed on return, before the next runs."""
     x = np.stack([r.features for r in records], dtype=np.float64)
     targets = [norm.normalize(r.score) for r in records]
-    total, _ = loss(x, targets, params, train_cfg, rng=rng)
+    total = loss(x, targets, params, train_cfg, rng=rng)
     value = total.item()
     if not math.isfinite(value):
         raise ag.NonFiniteError(f"train_epoch: non-finite loss {value}")
@@ -217,11 +217,7 @@ def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
         for i in range(0, len(records), step)
     ])
     truths = [r.score for r in records]
-    try:
-        rho = spearman_rho(truths, preds)
-    except ConstantInputError:
-        rho = None
-    return rho, mse_metric(truths, preds)
+    return spearman_rho(truths, preds), mse_metric(truths, preds)
 
 
 @dataclass

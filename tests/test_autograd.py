@@ -148,7 +148,7 @@ def tiny_loss():
                           dropout_rate=0.0, dropout_z=0.0, seed=4)
     params = mdl.init_params(cfg)
     x = np.random.default_rng(4).normal(size=(2, cfg.num_locations, cfg.d))
-    total, _ = trn.loss(x, [0.3, -0.2], params, trn.TrainConfig(penalty_weight=1e-2))
+    total = trn.loss(x, [0.3, -0.2], params, trn.TrainConfig(penalty_weight=1e-2))
     return total, params.params()
 
 

@@ -46,6 +46,20 @@ def workspace(tmp_path_factory):
     }
 
 
+@pytest.fixture
+def feature_reads(monkeypatch):
+    """The paths of the feature files read while the test runs."""
+    reads = []
+    true_load = dat.load_feature_file
+
+    def counting_load(path):
+        reads.append(path)
+        return true_load(path)
+
+    monkeypatch.setattr(dat, "load_feature_file", counting_load)
+    return reads
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -81,7 +95,8 @@ def test_synth_rejects_tiny_n(tmp_path, capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("grid", [["--w", "0"], ["--h", "-2"], ["--d", "1"], ["--n", "3"]])
+@pytest.mark.parametrize("grid", [["--w", "0"], ["--h", "-2"], ["--d", "1"], ["--n", "3"],
+                                  ["--noise", "nan"], ["--noise", "inf"], ["--noise", "-1"]])
 def test_synth_rejects_bad_sizes(tmp_path, capsys, grid):
     code, _, err = run(capsys, ["synth", "--out", str(tmp_path / "data"), "--n", "8"] + grid)
     assert code == EXIT_USAGE
@@ -437,26 +452,28 @@ def test_removed_flags_are_usage_errors(workspace, tmp_path, monkeypatch, capsys
     # the manifest sets the grid, even to the value it already has
     ("model", {"w": 2}, "'w'"),
 ])
-def test_bad_config_value_is_usage_error(workspace, tmp_path, capsys, section, block, field):
+def test_bad_config_value_is_usage_error(workspace, tmp_path, capsys, feature_reads,
+                                         section, block, field):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({section: block}))
     code, _, err = run(capsys, ["train", "--manifest", workspace["manifest"],
                                 "--config", str(config), "--out", str(tmp_path / "run")])
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1 and field in err
-    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "run").exists() and feature_reads == []
 
 
 @pytest.mark.parametrize("argv", [["train", "--out", "run", "--seed", "-1"],
                                   ["gradcheck", "--seed", "-1"]])
-def test_negative_seed_is_usage_error(workspace, tmp_path, monkeypatch, capsys, argv):
+def test_negative_seed_is_usage_error(workspace, tmp_path, monkeypatch, capsys, feature_reads,
+                                      argv):
     monkeypatch.chdir(tmp_path)
     if argv[0] == "train":
         argv = argv + ["--manifest", workspace["manifest"]]
     code, _, err = run(capsys, argv)
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
-    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "run").exists() and feature_reads == []
 
 
 @pytest.mark.parametrize("command", [

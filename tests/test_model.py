@@ -386,7 +386,7 @@ def test_full_loss_gradients_match_finite_differences():
 
         def build():
             rng = np.random.default_rng(17)
-            total, _ = trn.loss(x, targets, params, tcfg, rng=rng)
+            total = trn.loss(x, targets, params, tcfg, rng=rng)
             return total
 
         report = ag.gradient_check(build, params.params(), step=1e-5)
@@ -405,7 +405,7 @@ def test_batch_gradients_equal_summed_single_sample_gradients(enabled):
         ag.zero_grads(params.params())
         total = 0.0
         for xb, tb in batches:
-            value, _ = trn.loss(xb, tb, params, tcfg)
+            value = trn.loss(xb, tb, params, tcfg)
             value.backward()
             total += value.item()
         return total, {p.name: p.grad.copy() for p in params.params()}
@@ -491,7 +491,7 @@ def test_train_pass_peak_memory():
     tcfg = trn.TrainConfig(penalty_weight=1e-4)
 
     def train_pass():
-        total, _ = trn.loss(x, np.zeros(4), params, tcfg, rng=np.random.default_rng(22))
+        total = trn.loss(x, np.zeros(4), params, tcfg, rng=np.random.default_rng(22))
         total.backward()
 
     peak, _, _ = traced_peak(train_pass)

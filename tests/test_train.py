@@ -71,7 +71,7 @@ def test_loss_zero_when_prediction_matches_target():
     x = np.random.default_rng(1).normal(size=(1, cfg.num_locations, cfg.d))
     trace = mdl.forward(x, params)
     tcfg = trn.TrainConfig(penalty_weight=0.0)
-    total, _ = trn.loss(x, [trace.y_value()], params, tcfg)
+    total = trn.loss(x, [trace.y_value()], params, tcfg)
     assert total.item() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -81,7 +81,7 @@ def test_loss_squared_error():
     x = np.random.default_rng(2).normal(size=(1, cfg.num_locations, cfg.d))
     trace = mdl.forward(x, params)
     tcfg = trn.TrainConfig(penalty_weight=0.0)
-    total, _ = trn.loss(x, [trace.y_value() + 0.1], params, tcfg)
+    total = trn.loss(x, [trace.y_value() + 0.1], params, tcfg)
     assert total.item() == pytest.approx(0.01, abs=1e-12)
 
 
@@ -93,7 +93,7 @@ def test_loss_uniform_attention_penalty_term():
     x = np.random.default_rng(3).normal(size=(1, cfg.num_locations, cfg.d))
     trace = mdl.forward(x, params)
     lam = 1e-4
-    with_pen, _ = trn.loss(x, [trace.y_value()], params, trn.TrainConfig(penalty_weight=lam))
+    with_pen = trn.loss(x, [trace.y_value()], params, trn.TrainConfig(penalty_weight=lam))
     expected = lam * 196.0 * (1.0 - 3.0 / 196.0) ** 2
     assert with_pen.item() == pytest.approx(expected, abs=1e-12)
 
@@ -102,7 +102,7 @@ def test_loss_non_negative():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
     x = np.random.default_rng(4).normal(size=(1, cfg.num_locations, cfg.d))
-    total, _ = trn.loss(x, [0.7], params, trn.TrainConfig())
+    total = trn.loss(x, [0.7], params, trn.TrainConfig())
     assert total.item() >= 0.0
 
 
@@ -221,7 +221,7 @@ def test_batch_of_identical_samples_matches_single_sample_gradient(tmp_path):
         plist = params.params()
         ag.zero_grads(plist)
         x = np.stack([r.features for r in records])
-        total, _ = trn.loss(x, [norm.normalize(r.score) for r in records], params, tcfg)
+        total = trn.loss(x, [norm.normalize(r.score) for r in records], params, tcfg)
         total.backward()
         return {p.name: p.grad / len(records) for p in plist}
 
