@@ -107,11 +107,11 @@ def cmd_train(args) -> int:
     # the configs and split sizes are checked before a feature file is read
     if not manifest.split_records("train") or len(manifest.split_records("val")) < 2:
         raise CliError("manifest needs a non-empty train split and 2 or more val records")
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before any training
     train_set = dat.load_split(manifest, manifest_dir, "train")
     val_set = dat.load_split(manifest, manifest_dir, "val")
 
     result = trn.fit(train_set, val_set, model_cfg, train_cfg)
-    os.makedirs(args.out, exist_ok=True)
     checkpoint_path = os.path.join(args.out, "checkpoint.amwt")
     mdl.save_checkpoint(checkpoint_path, result.params, norm=dataclasses.asdict(result.norm))
     result.to_jsonl(os.path.join(args.out, "report.jsonl"))
@@ -213,15 +213,13 @@ def gradcheck_report(step: float = 1e-5, seed: int = 0):
         w=3, h=3, d=8, b=6, t=3, fm_hidden=5,
         dropout_rate=0.0, dropout_z=0.0, seed=seed,
     )
-    cfg.validate()
     params = mdl.init_params(cfg)
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(size=(2, cfg.num_locations, cfg.d))
     targets = [0.3, -0.5]
     train_cfg = trn.TrainConfig(penalty_weight=1e-4)
 
-    return gradient_check(lambda: trn.loss(x, targets, params, train_cfg),
-                          params.params(), step=step)
+    return gradient_check(lambda: trn.loss(x, targets, params, train_cfg), params, step=step)
 
 
 def cmd_gradcheck(args) -> int:

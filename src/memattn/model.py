@@ -85,13 +85,23 @@ def _param_shapes(cfg: ModelConfig):
 class ModelParams:
     """All learnable weights, addressable by name in a stable order.
 
-    params holds exactly the names and shapes of _param_shapes(config), in
-    that order: init_params builds them so and load_checkpoint checks them.
+    data and grad are two float64 vectors of every weight in the order of
+    _param_shapes(config); each Param's data and grad are views of its
+    slice of them, so an element-wise update of all weights is one array
+    operation.
     """
 
-    def __init__(self, config: ModelConfig, params: dict[str, Param]):
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self._params = params
+        shapes = _param_shapes(config)
+        self.data = np.zeros(sum(math.prod(shape) for _, shape in shapes))
+        self.grad = np.zeros(self.data.size)
+        self._params, start = {}, 0
+        for name, shape in shapes:
+            end = start + math.prod(shape)
+            self._params[name] = Param(name, self.data[start:end].reshape(shape),
+                                       self.grad[start:end].reshape(shape))
+            start = end
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -99,37 +109,22 @@ class ModelParams:
     def params(self) -> list[Param]:
         return list(self._params.values())
 
-    def snapshot(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        """Copies of the weights by name; given an earlier snapshot as out,
-        copies into its arrays instead of allocating new ones."""
-        if out is None:
-            return {name: p.data.copy() for name, p in self._params.items()}
-        for name, p in self._params.items():
-            out[name][...] = p.data
-        return out
-
-    def load_snapshot(self, values: dict[str, np.ndarray]) -> None:
-        for name, p in self._params.items():
-            p.data[...] = values[name]
-
 
 def init_params(config: ModelConfig) -> ModelParams:
     """Uniform Glorot weights, zero biases; deterministic given the seed."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    params = {}
-    for name, shape in _param_shapes(config):
+    params = ModelParams(config)
+    for p in params.params():
+        shape = p.data.shape
         if len(shape) == 2:
             fan_in, fan_out = shape[1], shape[0]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            values = rng.uniform(-limit, limit, size=shape)
-        elif name == "fm_w2":
+            p.data[...] = rng.uniform(-limit, limit, size=shape)
+        elif p.name == "fm_w2":
             limit = np.sqrt(6.0 / (shape[0] + 1))
-            values = rng.uniform(-limit, limit, size=shape)
-        else:
-            values = np.zeros(shape)
-        params[name] = Param(name, values)
-    return ModelParams(config, params)
+            p.data[...] = rng.uniform(-limit, limit, size=shape)
+    return params
 
 
 # The intermediates of one step that backward reads, each (N, ...): th holds
@@ -465,7 +460,7 @@ def load_checkpoint(path):
         state = "truncated" if len(blob) < size else "trailing bytes after the last parameter"
         raise CheckpointFormatError(f"{path}: {state}: file has {len(blob)} bytes, its "
                                     f"config needs {size}")
-    params = {}
+    params = ModelParams(config)
     for name, shape, header in layout:
         if blob[pos:pos + len(header)] != header:
             raise CheckpointFormatError(f"{path}: the header at offset {pos} is not that "
@@ -475,5 +470,5 @@ def load_checkpoint(path):
         pos += values.nbytes
         if not np.isfinite(values).all():
             raise CheckpointFormatError(f"{path}: parameter {name} has non-finite values")
-        params[name] = Param(name, values.reshape(shape).copy())
-    return ModelParams(config, params), norm
+        params[name].data[...] = values.reshape(shape)
+    return params, norm

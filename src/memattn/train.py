@@ -30,6 +30,9 @@ from .metrics import mse as mse_metric
 BUDGET = 4 * 14 * 14 * 256
 MAX_PASS = 32
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# adam_step runs over slices of this many values, so its two temporaries
+# hold 1 MiB each; at 14x14x256 one pass over all 7 MB of weights ran slower
+ADAM_SLICE = 1 << 17
 
 
 class DegenerateDatasetError(ValueError):
@@ -109,22 +112,28 @@ def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig, rng=None):
 
 
 class AdamState:
-    def __init__(self, params):
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+    """Adam's moment vectors, laid out as the ModelParams' data vector."""
+
+    def __init__(self, params: mdl.ModelParams):
+        self.m = np.zeros_like(params.data)
+        self.v = np.zeros_like(params.data)
         self.t = 0
 
 
-def adam_step(params, opt_state: AdamState, cfg: TrainConfig) -> None:
+def adam_step(params: mdl.ModelParams, opt_state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam; weight decay decoupled from the adaptive update.
-    Each Param's update is formed in place, in two weight-sized temporaries."""
+    The update is formed in place over ADAM_SLICE values at a time, in two
+    temporaries of that size."""
     opt_state.t += 1
     t = opt_state.t
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate
-    for p in params:
-        theta, g = p.data, p.grad
-        m, v = opt_state.m[p.name], opt_state.v[p.name]
-        num, den = np.empty_like(theta), np.empty_like(theta)
+    num_buf = np.empty(min(params.data.size, ADAM_SLICE))
+    den_buf = np.empty_like(num_buf)
+    for start in range(0, params.data.size, ADAM_SLICE):
+        part = slice(start, start + ADAM_SLICE)
+        theta, g = params.data[part], params.grad[part]
+        m, v = opt_state.m[part], opt_state.v[part]
+        num, den = num_buf[:len(theta)], den_buf[:len(theta)]
         if cfg.weight_decay > 0.0:
             theta -= np.multiply(theta, lr * cfg.weight_decay, out=num)
         m *= b1
@@ -171,19 +180,16 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
         raise ValueError("train_epoch: empty training set")
     n = len(train_set)
     order = rng.permutation(n)
-    param_list = params.params()
     step = _sub_batch(params.config)
     total_loss = 0.0
     for start in range(0, n, train_cfg.batch_size):
         batch = order[start : start + train_cfg.batch_size]
-        ag.zero_grads(param_list)
+        params.grad[...] = 0.0
         for sub in range(0, len(batch), step):
             records = [train_set[int(i)] for i in batch[sub : sub + step]]
             total_loss += _backward_pass(records, params, train_cfg, norm, rng)
-        inv = 1.0 / len(batch)
-        for p in param_list:
-            p.grad *= inv
-        adam_step(param_list, opt_state, train_cfg)
+        params.grad *= 1.0 / len(batch)
+        adam_step(params, opt_state, train_cfg)
     return total_loss / n
 
 
@@ -251,13 +257,13 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
     train_cfg.validate()
     norm = ScoreNorm.from_scores([r.score for r in train_set])
     params = mdl.init_params(model_cfg)
-    opt_state = AdamState(params.params())
+    opt_state = AdamState(params)
     rng = np.random.default_rng(train_cfg.seed)
     if eval_fn is None:
         eval_fn = lambda p: evaluate(p, norm, val_set)
 
     result = FitResult(params=params, norm=norm)
-    best_values = None  # taken at the first improvement, then overwritten
+    best_values = None  # allocated at the first improvement, then overwritten
     bad_epochs = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, train_cfg.max_epochs + 1):
@@ -272,7 +278,9 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
             if val_rho is not None and val_rho > result.best_rho:
                 result.best_rho = val_rho
                 result.best_epoch = epoch
-                best_values = params.snapshot(out=best_values)
+                if best_values is None:
+                    best_values = np.empty_like(params.data)
+                best_values[...] = params.data
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -282,5 +290,5 @@ def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
     if result.best_epoch == 0:
         raise NoValidEpochError(
             f"fit: no epoch had a defined validation rho (stopped: {result.stop_reason})")
-    params.load_snapshot(best_values)
+    params.data[...] = best_values
     return result

@@ -106,7 +106,7 @@ def test_overfit_capacity(tmp_path):
     tcfg = trn.TrainConfig(batch_size=16, penalty_weight=0.0, weight_decay=0.0, seed=0)
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
     params = mdl.init_params(cfg)
-    opt = trn.AdamState(params.params())
+    opt = trn.AdamState(params)
     rng = np.random.default_rng(0)
     loss_value = math.inf
     steps = 0
@@ -218,7 +218,7 @@ def test_early_stopping_contract(tmp_path):
     calls = {"n": 0}
 
     def eval_fn(params):
-        snapshots.append(params.snapshot())
+        snapshots.append(params.data.copy())
         rho = injected[calls["n"]]
         calls["n"] += 1
         return rho, 0.0
@@ -226,8 +226,7 @@ def test_early_stopping_contract(tmp_path):
     tcfg = trn.TrainConfig(batch_size=16, max_epochs=4, patience=2, seed=0)
     result = trn.fit(train_set, val_set, cfg, tcfg, eval_fn=eval_fn)
     ok = result.best_epoch == 2 and result.best_rho == 0.7
-    for name, values in snapshots[1].items():
-        ok = ok and np.array_equal(result.params.snapshot()[name], values)
+    ok = ok and np.array_equal(result.params.data, snapshots[1])
 
     # a real run's returned params must reproduce best_rho exactly
     tcfg = trn.TrainConfig(batch_size=16, max_epochs=5, patience=5, seed=0)

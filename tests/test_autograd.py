@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from memattn import autograd as ag
 from memattn import model as mdl
 from memattn import train as trn
-from memattn.autograd import DimensionError, OracleError, Param
+from memattn.autograd import DimensionError, OracleError
 
 
 def finite_vectors(min_size=1, max_size=8):
@@ -149,24 +149,26 @@ def tiny_loss():
     params = mdl.init_params(cfg)
     x = np.random.default_rng(4).normal(size=(2, cfg.num_locations, cfg.d))
     total = trn.loss(x, [0.3, -0.2], params, trn.TrainConfig(penalty_weight=1e-2))
-    return total, params.params()
+    return total, params
 
 
 def test_zero_grads_after_backward():
-    total, plist = tiny_loss()
+    total, params = tiny_loss()
     total.backward()
+    plist = params.params()
     assert all(np.any(p.grad != 0) for p in plist)
-    ag.zero_grads(plist)
+    params.grad[...] = 0.0  # zeroing the grad vector zeroes every Param's grad
     for p in plist:
         np.testing.assert_array_equal(p.grad, np.zeros(p.data.shape))
-    ag.zero_grads(plist)  # idempotent
+    params.grad[...] = 0.0  # idempotent
     for p in plist:
         np.testing.assert_array_equal(p.grad, np.zeros(p.data.shape))
         assert p.grad.shape == p.data.shape
 
 
 def test_grad_accumulates_across_samples():
-    total, plist = tiny_loss()
+    total, params = tiny_loss()
+    plist = params.params()
     total.backward()
     once = [p.grad.copy() for p in plist]
     total.backward()  # a second backward adds the same amounts again
@@ -185,7 +187,7 @@ def test_backward_linearity():
     dy1, dy2 = rng.normal(size=3), rng.normal(size=3)
 
     def grads(*calls):
-        ag.zero_grads(plist)
+        params.grad[...] = 0.0
         for dy, weight in calls:
             mdl.backward(trace, params, dy, weight)
         return [p.grad.copy() for p in plist]
@@ -198,25 +200,22 @@ def test_backward_linearity():
 # --- finite-difference oracle -----------------------------------------------
 
 def test_finite_diff_quadratic():
-    p = Param("theta", np.array([3.0]))
-    grad = ag.finite_diff_grad(lambda: float(p.data[0] ** 2), p, step=1e-5)
+    theta = np.array([3.0])
+    grad = ag.finite_diff_grad(lambda: float(theta[0] ** 2), theta, step=1e-5)
     np.testing.assert_allclose(grad, [6.0], atol=1e-6)
 
 
 def test_finite_diff_constant():
-    p = Param("theta", np.array([1.0, -2.0]))
-    grad = ag.finite_diff_grad(lambda: 4.25, p, step=1e-5)
+    grad = ag.finite_diff_grad(lambda: 4.25, np.array([1.0, -2.0]), step=1e-5)
     np.testing.assert_allclose(grad, np.zeros(2), atol=1e-10)
 
 
 def test_finite_diff_rejects_bad_step():
-    p = Param("theta", np.array([1.0]))
     with pytest.raises(ValueError):
-        ag.finite_diff_grad(lambda: 0.0, p, step=0.0)
+        ag.finite_diff_grad(lambda: 0.0, np.array([1.0]), step=0.0)
 
 
 def test_finite_diff_detects_nondeterminism():
-    p = Param("theta", np.array([1.0]))
     rng = np.random.default_rng(5)
     with pytest.raises(OracleError):
-        ag.finite_diff_grad(lambda: rng.random(), p, step=1e-5)
+        ag.finite_diff_grad(lambda: rng.random(), np.array([1.0]), step=1e-5)

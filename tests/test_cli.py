@@ -161,10 +161,11 @@ def test_diverging_run_keeps_its_best_checkpoint(synth200, tmp_path, capsys,
     assert code == expected, err
     assert "Warning" not in err
     if code == EXIT_VERIFY:
-        # every epoch's validation rho was undefined: nothing to keep
+        # every epoch's validation rho was undefined: nothing to keep, so the
+        # --out directory, made before training, stays empty
         assert err.startswith("error:") and err.count("\n") == 1
         assert "no epoch had a defined validation rho" in err
-        assert not out_dir.exists()
+        assert out_dir.is_dir() and not any(out_dir.iterdir())
         return
     assert err == ""
     summary = json.loads(out)
@@ -583,6 +584,20 @@ def test_huge_finite_weights_exit_cleanly_without_warnings(workspace, tmp_path, 
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_train_out_that_cannot_be_a_directory_is_io_error(workspace, tmp_path, capsys,
+                                                          feature_reads, out):
+    # a file stands where --out, or a directory above it, would go
+    (tmp_path / "taken").write_text("a file")
+    code, out_text, err = run(capsys, ["train", "--manifest", workspace["manifest"],
+                                       "--config", workspace["config"],
+                                       "--out", str(tmp_path / out)])
+    assert code == EXIT_IO and out_text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert feature_reads == []  # it fails before a feature file is read, so before training
+    assert (tmp_path / "taken").read_text() == "a file"
+
+
 MANIFEST_FAULTS = {
     "not JSON": lambda payload: "{bad",
     "not an object": lambda payload: "[1]",
@@ -611,7 +626,10 @@ def test_bad_manifest_is_io_error(workspace, tmp_path, capsys, fault):
                                 "--out", str(tmp_path / "run")])
     assert code == EXIT_IO
     assert err.startswith("error:") and err.count("\n") == 1
-    assert not (tmp_path / "run").exists()
+    # a manifest that loads fails only after --out is made, and writes nothing there
+    made = fault in ("train record without score", "train scores all equal")
+    assert (tmp_path / "run").exists() == made
+    assert not made or not any((tmp_path / "run").iterdir())
 
 
 def test_non_finite_train_feature_is_io_error(tmp_path, capsys):

@@ -39,6 +39,45 @@ def test_init_params_deterministic():
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def test_param_views_tile_the_vectors():
+    # each Param's data and grad are views of consecutive slices of the two
+    # vectors, in _param_shapes order, the 0-d fm_b2 last
+    cfg = tiny_config()
+    params = mdl.init_params(cfg)
+    shapes = mdl._param_shapes(cfg)
+    assert [(p.name, p.data.shape) for p in params.params()] == shapes
+    assert shapes[-1] == ("fm_b2", ())
+    for vector, attr in ((params.data, "data"), (params.grad, "grad")):
+        base = vector.__array_interface__["data"][0]
+        start = 0
+        for p in params.params():
+            view = getattr(p, attr)
+            assert view.base is vector and view.shape == params[p.name].data.shape
+            assert view.__array_interface__["data"][0] == base + 8 * start
+            start += view.size
+        assert start == vector.size
+
+
+def test_writes_through_the_vector_show_in_each_param():
+    cfg = tiny_config()
+    params = mdl.init_params(cfg)
+    params.data[...] = np.arange(params.data.size)
+    start = 0
+    for p in params.params():
+        np.testing.assert_array_equal(
+            p.data, np.arange(start, start + p.data.size).reshape(p.data.shape))
+        start += p.data.size
+    params["fm_b2"].data[...] = -1.0
+    assert params.data[-1] == -1.0
+    # backward accumulates into the grad vector through the views
+    params = mdl.init_params(cfg)
+    x = random_features(cfg, seed=3, n=2)
+    trn.loss(x, [0.2, -0.4], params, trn.TrainConfig(penalty_weight=1e-2)).backward()
+    assert all(np.any(p.grad != 0) for p in params.params())
+    np.testing.assert_array_equal(
+        params.grad, np.concatenate([p.grad.ravel() for p in params.params()]))
+
+
 def test_init_params_zero_biases():
     params = mdl.init_params(tiny_config())
     for name in ("att_b", "init_h_b", "init_c_b", "lstm_bi", "lstm_bf",
@@ -330,9 +369,8 @@ def test_forward_permutation_covariance():
     perm = np.random.default_rng(14).permutation(cfg.num_locations)
 
     params_perm = mdl.init_params(cfg)
-    values = params.snapshot()
-    values["att_M"] = values["att_M"][perm]
-    params_perm.load_snapshot(values)
+    params_perm.data[...] = params.data
+    params_perm["att_M"].data[...] = params["att_M"].data[perm]
 
     base = mdl.forward(x, params)
     permuted = mdl.forward(x[:, perm], params_perm)
@@ -389,7 +427,7 @@ def test_full_loss_gradients_match_finite_differences():
             total = trn.loss(x, targets, params, tcfg, rng=rng)
             return total
 
-        report = ag.gradient_check(build, params.params(), step=1e-5)
+        report = ag.gradient_check(build, params, step=1e-5)
         assert max(report.values()) < 1e-4, (cfg, report)
 
 
@@ -402,7 +440,7 @@ def test_batch_gradients_equal_summed_single_sample_gradients(enabled):
     tcfg = trn.TrainConfig(penalty_weight=1e-2)
 
     def grads(batches):
-        ag.zero_grads(params.params())
+        params.grad[...] = 0.0
         total = 0.0
         for xb, tb in batches:
             value = trn.loss(xb, tb, params, tcfg)
@@ -473,9 +511,9 @@ def test_eval_pass_keeps_no_step_arrays():
     assert trace.steps == [] and len(trace.alpha) == len(trace.m) == cfg.t
     assert held < x.nbytes / 4, held  # no (N, L, D) array outlives the pass
     # a training pass on the same weights without dropout keeps its steps
-    no_dropout = replace(cfg, dropout_rate=0.0, dropout_z=0.0)
-    with_steps = mdl.forward(x, mdl.ModelParams(no_dropout, {p.name: p for p in params.params()}),
-                             training=True)
+    no_dropout = mdl.ModelParams(replace(cfg, dropout_rate=0.0, dropout_z=0.0))
+    no_dropout.data[...] = params.data
+    with_steps = mdl.forward(x, no_dropout, training=True)
     assert len(with_steps.steps) == cfg.t
     np.testing.assert_array_equal(trace.y, with_steps.y)
 
@@ -497,6 +535,20 @@ def test_train_pass_peak_memory():
     peak, _, _ = traced_peak(train_pass)
     largest_weight = max(p.data.nbytes for p in params.params())
     assert peak <= (cfg.t + 3) * x.nbytes + 2 * largest_weight, (peak, x.nbytes, largest_weight)
+
+
+def test_adam_step_peak_memory():
+    # At 14x14x256 the update runs in slices, so its temporaries stay at
+    # two slices, not two copies of the 7 MB parameter vector
+    cfg = tiny_config(w=14, h=14, d=256, b=256, fm_hidden=128)
+    params = mdl.ModelParams(cfg)
+    params.grad[...] = 1.0
+    state = trn.AdamState(params)
+    tcfg = trn.TrainConfig()
+    peak, held, _ = traced_peak(lambda: trn.adam_step(params, state, tcfg))
+    assert params.data.size > 6 * trn.ADAM_SLICE
+    assert peak <= 2 * 8 * trn.ADAM_SLICE + 4096, peak
+    assert held < 4096, held  # no temporary outlives the step
 
 
 # --- checkpoints ------------------------------------------------------------

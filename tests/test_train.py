@@ -1,5 +1,6 @@
 import copy
 import json
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from memattn import autograd as ag
 from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
-from memattn.autograd import Param
 from memattn.metrics import mse as mse_metric
 from memattn.metrics import spearman_rho
 
@@ -116,20 +116,26 @@ def test_loss_rejects_non_finite_target():
 
 # --- adam -------------------------------------------------------------------
 
+def vector(*values):
+    """A stand-in for ModelParams: the data and grad vectors adam_step reads."""
+    data = np.array(values, dtype=np.float64)
+    return types.SimpleNamespace(data=data, grad=np.zeros_like(data))
+
+
 def test_adam_zero_gradient_leaves_params_unchanged():
-    p = Param("p", np.array([1.0, -2.0]))
-    state = trn.AdamState([p])
+    p = vector(1.0, -2.0)
+    state = trn.AdamState(p)
     cfg = trn.TrainConfig(weight_decay=0.0)
-    trn.adam_step([p], state, cfg)
+    trn.adam_step(p, state, cfg)
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
 
 def test_adam_first_step_hand_computed():
-    p = Param("p", np.array([1.0]))
+    p = vector(1.0)
     p.grad[...] = 1.0
-    state = trn.AdamState([p])
+    state = trn.AdamState(p)
     cfg = trn.TrainConfig(learning_rate=0.1, weight_decay=0.0)
-    trn.adam_step([p], state, cfg)
+    trn.adam_step(p, state, cfg)
     # bias correction makes m_hat = v_hat = g on the first step
     assert p.data[0] == pytest.approx(0.9, abs=1e-6)
 
@@ -147,55 +153,56 @@ def reference_adam(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_adam_two_steps_vs_reference():
-    p = Param("theta", np.array([3.0]))
-    state = trn.AdamState([p])
+    p = vector(3.0)
+    state = trn.AdamState(p)
     cfg = trn.TrainConfig(learning_rate=0.05, weight_decay=0.0)
     grads = []
     for _ in range(2):
-        ag.zero_grads([p])
+        p.grad[...] = 0.0
         p.grad += 2.0 * p.data  # f = theta^2
         grads.append(float(p.grad[0]))
-        trn.adam_step([p], state, cfg)
+        trn.adam_step(p, state, cfg)
     expected = reference_adam(3.0, grads, lr=0.05)
     assert p.data[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_adam_decoupled_weight_decay():
-    p = Param("p", np.array([2.0]))
-    state = trn.AdamState([p])
+    p = vector(2.0)
+    state = trn.AdamState(p)
     cfg = trn.TrainConfig(learning_rate=0.1, weight_decay=0.5)
-    trn.adam_step([p], state, cfg)  # zero grad: only the decay acts
+    trn.adam_step(p, state, cfg)  # zero grad: only the decay acts
     assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
 def test_adam_in_place_update_equals_the_array_formula_exactly():
-    # the update formed in place is bit for bit the one the array formula
-    # gives, weight decay and a 0-d Param included
+    # the update formed in place, one slice at a time, is bit for bit the one
+    # the array formula gives over the whole vector, weight decay included;
+    # the vector spans more than one slice and ends in a partial one
+    cfg = tiny_config(w=2, h=2, d=64, b=160, t=1, fm_hidden=8)
+    params = mdl.ModelParams(cfg)
+    assert params.data.size > trn.ADAM_SLICE and params.data.size % trn.ADAM_SLICE
     rng = np.random.default_rng(30)
-    params = [Param("w", rng.normal(size=(5, 4))), Param("b", rng.normal(size=()))]
+    params.data[...] = rng.normal(size=params.data.size)
     state = trn.AdamState(params)
-    cfg = trn.TrainConfig(learning_rate=0.01, weight_decay=0.1)
-    b1, b2, lr = trn.ADAM_BETA1, trn.ADAM_BETA2, cfg.learning_rate
-    expected = {p.name: (p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape))
-                for p in params}
+    tcfg = trn.TrainConfig(learning_rate=0.01, weight_decay=0.1)
+    b1, b2, lr = trn.ADAM_BETA1, trn.ADAM_BETA2, tcfg.learning_rate
+    theta, m, v = params.data.copy(), np.zeros(params.data.size), np.zeros(params.data.size)
     for t in range(1, 5):
-        for p in params:
-            p.grad[...] = rng.normal(size=p.data.shape)
-        trn.adam_step(params, state, cfg)
-        for p in params:
-            theta, m, v = expected[p.name]
-            g = p.grad
-            theta -= lr * cfg.weight_decay * theta
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v / (1.0 - b2 ** t)
-            theta -= lr * m_hat / (np.sqrt(v_hat) + trn.ADAM_EPS)
-            np.testing.assert_array_equal(p.data, theta)
-            np.testing.assert_array_equal(state.m[p.name], m)
-            np.testing.assert_array_equal(state.v[p.name], v)
+        params.grad[...] = rng.normal(size=params.grad.size)
+        trn.adam_step(params, state, tcfg)
+        g = params.grad
+        theta -= lr * tcfg.weight_decay * theta
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + trn.ADAM_EPS)
+        np.testing.assert_array_equal(params.data, theta)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+    assert params["fm_b2"].data == theta[-1]  # the 0-d Param is updated through its view
 
 
 def test_train_config_paper_defaults():
@@ -218,12 +225,11 @@ def test_batch_of_identical_samples_matches_single_sample_gradient(tmp_path):
 
     def batch_grads(records):
         params = mdl.init_params(cfg)
-        plist = params.params()
-        ag.zero_grads(plist)
+        params.grad[...] = 0.0
         x = np.stack([r.features for r in records])
         total = trn.loss(x, [norm.normalize(r.score) for r in records], params, tcfg)
         total.backward()
-        return {p.name: p.grad / len(records) for p in plist}
+        return {p.name: p.grad / len(records) for p in params.params()}
 
     averaged = batch_grads(batch)
     single = batch_grads([record])
@@ -239,7 +245,7 @@ def test_train_epoch_deterministic(tmp_path):
 
     def run():
         params = mdl.init_params(cfg)
-        opt = trn.AdamState(params.params())
+        opt = trn.AdamState(params)
         rng = np.random.default_rng(0)
         return trn.train_epoch(records, params, opt, tcfg, norm, rng)
 
@@ -251,12 +257,12 @@ def epoch_grads(records, monkeypatch, budget):
     cfg = tiny_config()
     monkeypatch.setattr(trn, "BUDGET", budget)
     grads = []
-    monkeypatch.setattr(trn, "adam_step", lambda plist, state, tcfg: grads.append(
-        {p.name: p.grad.copy() for p in plist}))
+    monkeypatch.setattr(trn, "adam_step", lambda params, state, tcfg: grads.append(
+        {p.name: p.grad.copy() for p in params.params()}))
     params = mdl.init_params(cfg)
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
     tcfg = trn.TrainConfig(batch_size=len(records), penalty_weight=1e-2)
-    loss = trn.train_epoch(records, params, trn.AdamState(params.params()), tcfg, norm,
+    loss = trn.train_epoch(records, params, trn.AdamState(params), tcfg, norm,
                            np.random.default_rng(0))
     return loss, grads
 
@@ -285,7 +291,7 @@ def test_train_epoch_calls_backward_once_per_sub_batch(tmp_path, monkeypatch):
     monkeypatch.setattr(ag.Tensor, "backward", counting_backward)
     params = mdl.init_params(cfg)
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
-    trn.train_epoch(records, params, trn.AdamState(params.params()),
+    trn.train_epoch(records, params, trn.AdamState(params),
                     trn.TrainConfig(batch_size=8), norm, np.random.default_rng(0))
     # two minibatches of 8, each run as sub-batches of 3, 3 and 2
     assert calls == [()] * 6
@@ -307,7 +313,7 @@ def test_sub_batch_sizes_at_the_benchmark_shapes(monkeypatch):
     monkeypatch.setattr(mdl, "backward", lambda trace, *args: calls.append(
         len(trace.y)) or true_backward(trace, *args))
     params = mdl.init_params(cfg)
-    trn.train_epoch(records, params, trn.AdamState(params.params()),
+    trn.train_epoch(records, params, trn.AdamState(params),
                     trn.TrainConfig(batch_size=32), trn.ScoreNorm(0.5, 0.5), rng)
     assert calls == [2]
 
@@ -346,7 +352,7 @@ def test_train_epoch_empty_set_rejected():
     cfg = tiny_config()
     params = mdl.init_params(cfg)
     with pytest.raises(ValueError):
-        trn.train_epoch([], params, trn.AdamState(params.params()),
+        trn.train_epoch([], params, trn.AdamState(params),
                         trn.TrainConfig(), trn.ScoreNorm(0.5, 0.5),
                         np.random.default_rng(0))
 
@@ -435,7 +441,7 @@ def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path):
     snapshots = []
 
     def eval_fn(params):
-        snapshots.append(params.snapshot())
+        snapshots.append(params.data.copy())
         if len(snapshots) == 3:
             raise ag.NonFiniteError("predict: non-finite score nan")
         return [0.1, 0.5][len(snapshots) - 1], 0.0
@@ -446,44 +452,23 @@ def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path):
     assert [e["epoch"] for e in result.epochs] == [1, 2]
     assert result.best_epoch == 2 and result.stop_reason != "patience"
     assert result.stop_reason == "epoch 3: predict: non-finite score nan"
-    for name, values in snapshots[1].items():
-        np.testing.assert_array_equal(result.params[name].data, values)
-
-
-def test_snapshot_is_not_changed_by_later_updates():
-    params = mdl.init_params(tiny_config())
-    kept = params.snapshot()
-    first = {name: values.copy() for name, values in kept.items()}
-    for p in params.params():
-        p.data += 1.0
-    for name, values in first.items():
-        np.testing.assert_array_equal(kept[name], values)
-    # a later snapshot copies into the kept arrays, and they stay apart from the params
-    arrays = {name: id(values) for name, values in kept.items()}
-    assert params.snapshot(out=kept) is kept
-    assert {name: id(values) for name, values in kept.items()} == arrays
-    for p in params.params():
-        np.testing.assert_array_equal(kept[p.name], p.data)
-        p.data -= 3.0
-        np.testing.assert_array_equal(kept[p.name], first[p.name] + 1.0)
+    np.testing.assert_array_equal(result.params.data, snapshots[1])
 
 
 def test_fit_keeps_the_best_epoch_across_later_improvements(tmp_path):
     snapshots = []
 
     def eval_fn(params):
-        snapshots.append(params.snapshot())
+        snapshots.append(params.data.copy())
         return [0.2, 0.5, 0.1, 0.6, 0.3][len(snapshots) - 1], 0.0
 
     records = tiny_dataset(tmp_path, n=12)
     tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
     result = trn.fit(records[:8], records[8:], tiny_config(), tcfg, eval_fn=eval_fn)
     assert result.best_epoch == 4
-    # epoch 5 moved the params after the kept snapshot was last written
-    assert any(not np.array_equal(snapshots[4][name], values)
-               for name, values in snapshots[3].items())
-    for name, values in snapshots[3].items():
-        np.testing.assert_array_equal(result.params[name].data, values)
+    # epoch 5 moved the params after the kept copy was last written
+    assert not np.array_equal(snapshots[4], snapshots[3])
+    np.testing.assert_array_equal(result.params.data, snapshots[3])
 
 
 def test_no_defined_rho_raises(tmp_path):
