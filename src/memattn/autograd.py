@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+FD_STEP = 1e-5  # the central-difference step of finite_diff_grad and gradient_check
+
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
@@ -33,7 +35,7 @@ class Tensor:
         return self.data.item()
 
     def backward(self):
-        """Add d(self)/d(param) into each Param's grad; a second call adds it again."""
+        """Add d(self)/d(param) into each Param's grad, once: it consumes the pass's trace."""
         self._backward()
 
 
@@ -94,31 +96,29 @@ def softmax_vec(e: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def finite_diff_grad(loss_fn, values: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def finite_diff_grad(loss_fn, values: np.ndarray) -> np.ndarray:
     """Central-difference gradient of values, one coordinate at a time, in place.
 
     loss_fn must be a deterministic float-valued function of the current
     values (fixed inputs, and fixed dropout masks if any); determinism is
     checked by a repeated evaluation up front.
     """
-    if step <= 0:
-        raise ValueError(f"finite_diff_grad: step must be positive, got {step}")
     if loss_fn() != loss_fn():
         raise OracleError("finite_diff_grad: loss function is not deterministic")
     flat = values.reshape(-1)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         f_plus = loss_fn()
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         f_minus = loss_fn()
         flat[i] = orig
-        grad[i] = (f_plus - f_minus) / (2.0 * step)
+        grad[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
     return grad.reshape(values.shape)
 
 
-def gradient_check(build_loss, params, step: float = 1e-5) -> dict:
+def gradient_check(build_loss, params) -> dict:
     """Relative error between analytic and finite-difference grads.
 
     build_loss() must rebuild the loss Tensor from the current values of the
@@ -134,7 +134,7 @@ def gradient_check(build_loss, params, step: float = 1e-5) -> dict:
 
     report = {}
     for p in params.params():
-        numeric = finite_diff_grad(scalar_loss, p.data, step)
+        numeric = finite_diff_grad(scalar_loss, p.data)
         a = analytic[p.name]
         denom = np.linalg.norm(a) + np.linalg.norm(numeric)
         report[p.name] = 0.0 if denom == 0.0 else float(np.linalg.norm(a - numeric) / denom)

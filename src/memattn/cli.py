@@ -168,15 +168,15 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def heatmap_bytes(alpha: np.ndarray, grid_h: int, grid_w: int, size: int = 224) -> np.ndarray:
-    """Min-max scale an attention map to [0,255] and upscale bilinearly."""
+def heatmap_bytes(alpha: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
+    """Min-max scale an attention map to [0,255] and upscale bilinearly to 224x224."""
     grid = np.asarray(alpha, dtype=np.float64).reshape(grid_h, grid_w)
     lo, hi = grid.min(), grid.max()
     if hi > lo:
         grid = (grid - lo) / (hi - lo) * 255.0
     else:
         grid = np.zeros_like(grid)
-    big = dat.bilinear_resize(grid, size, size)
+    big = dat.bilinear_resize(grid, 224, 224)
     return np.clip(np.rint(big), 0, 255).astype(np.uint8)
 
 
@@ -206,7 +206,7 @@ def cmd_attmap(args) -> int:
     return EXIT_OK
 
 
-def gradcheck_report(step: float = 1e-5, seed: int = 0):
+def gradcheck_report(seed: int = 0):
     """Finite-difference check of the summed loss of a two-sample batch on a
     tiny configuration."""
     cfg = mdl.ModelConfig(
@@ -219,7 +219,7 @@ def gradcheck_report(step: float = 1e-5, seed: int = 0):
     targets = [0.3, -0.5]
     train_cfg = trn.TrainConfig(penalty_weight=1e-4)
 
-    return gradient_check(lambda: trn.loss(x, targets, params, train_cfg), params, step=step)
+    return gradient_check(lambda: trn.loss(x, targets, params, train_cfg), params)
 
 
 def cmd_gradcheck(args) -> int:

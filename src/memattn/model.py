@@ -278,14 +278,15 @@ def attention_penalty(alphas) -> float:
 
 
 def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
-             penalty_weight: float = 0.0) -> None:
+             penalty_weight: float) -> None:
     """Add into every Param's grad the gradient of a loss whose gradient with
     respect to the pass's scores trace.y is dy, plus penalty_weight times
-    attention_penalty(trace.alpha).
+    attention_penalty(trace.alpha). It consumes the trace: a second call
+    finds no steps and raises ValueError before it writes a grad.
 
     Rows of the stacked arrays are t*N + n: step t, sample n.
     """
-    steps, p = trace.steps, params
+    steps, trace.steps, p = trace.steps, [], params
     n, d, b = len(dy), params.config.d, params.config.b
     dys = np.tile(dy, len(steps))  # each step's score adds to y
 
@@ -306,8 +307,8 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
     attention = steps[0].th is not None
     if attention:
         x, att_M, att_U = trace.x, p["att_M"].data, p["att_U"].data
-        d_shared, d_keys, d_M = np.empty((len(dys), d)), np.zeros(x.shape), np.zeros(att_M.shape)
-        d_th = np.empty(x.shape)  # one step's (N, L, D) terms; every step reuses it
+        d_shared, d_M = np.empty((len(dys), d)), np.zeros(att_M.shape)
+        d_keys = steps[-1].th  # processed first; the other steps' key grads add into it
         d_cover = -2.0 * penalty_weight * _coverage_gap(trace.alpha)
     dh, dc = np.zeros((n, b)), np.zeros((n, b))
     for t in reversed(range(len(steps))):
@@ -331,19 +332,18 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
         alpha = trace.alpha[t]
         d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
         d_M += np.einsum("nl,nld->ld", d_e, s.th)
-        np.multiply(s.th, s.th, out=d_th)
-        np.subtract(1.0, d_th, out=d_th)
-        d_th *= att_M
-        d_shared[rows] = np.matmul(d_e[:, None, :], d_th)[:, 0, :]
-        d_th *= d_e[:, :, None]
-        d_keys += d_th
+        np.multiply(s.th, s.th, out=s.th)  # the tanh terms become the key grads in place
+        np.subtract(1.0, s.th, out=s.th)
+        np.multiply(s.th, att_M, out=s.th)
+        d_shared[rows] = np.matmul(d_e[:, None, :], s.th)[:, 0, :]
+        np.multiply(s.th, d_e[:, :, None], out=s.th)
+        if s.th is not d_keys:
+            d_keys += s.th
         dh = dh + d_shared[rows] @ att_U
 
     h_prev = np.concatenate([s.h_prev for s in steps])
     if attention:
-        del d_th  # the (N, L, D) arrays go before the products below allocate
         p["att_K"].grad += d_keys.reshape(-1, d).T @ x.reshape(-1, d)
-        del d_keys
         p["att_M"].grad += d_M
         p["att_U"].grad += d_shared.T @ h_prev
         p["att_b"].grad += d_shared.sum(axis=0)

@@ -21,12 +21,12 @@ from .metrics import mse as mse_metric
 
 # A batched pass has BUDGET // (L*D) samples, at least 1 and at most
 # MAX_PASS. Its memory grows with N*L*D: a train pass (train_epoch, loss)
-# holds the float64 batch x and keeps the T steps' (N, L, D) tanh terms for
-# its backward, which adds the (N, L, D) key grads and one step's temporary,
-# so T + 3 such arrays at its peak; an eval pass (_scores) keeps no step and
-# holds x, the keys and one step's tanh terms. BUDGET gives 4 samples at
-# 14x14x256, where larger weight products pay; MAX_PASS caps the 7x7x32
-# ablation shape at 32, as larger passes there run no faster and hold more.
+# peaks in its forward at T + 2 such arrays (the float64 batch x, the keys
+# and the T steps' tanh terms, which backward turns into key grads in place);
+# an eval pass (_scores) keeps no step and holds x, the keys and one step's
+# tanh terms. BUDGET gives 4 samples at 14x14x256, where larger weight
+# products pay; MAX_PASS caps the 7x7x32 ablation shape at 32, as larger
+# passes there run no faster and hold more.
 BUDGET = 4 * 14 * 14 * 256
 MAX_PASS = 32
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

@@ -340,7 +340,7 @@ def test_attmap_disabled_attention_constant_heatmaps(workspace, tmp_path, capsys
 def test_heatmap_one_hot_brightest_at_location():
     alpha = np.zeros(9)
     alpha[4] = 1.0  # center of a 3x3 grid
-    img = heatmap_bytes(alpha, 3, 3, size=224)
+    img = heatmap_bytes(alpha, 3, 3)
     assert img.max() >= 250  # bilinear grid does not sample the node exactly
     peak = np.unravel_index(np.argmax(img), img.shape)
     assert 90 <= peak[0] <= 134 and 90 <= peak[1] <= 134  # central block
@@ -373,7 +373,7 @@ def test_gradcheck_runs_the_oracle_on_a_batch(monkeypatch):
 def test_gradcheck_negative_control(monkeypatch, capsys):
     true_backward = mdl.backward
 
-    def skewed_backward(trace, params, dy, penalty_weight=0.0):
+    def skewed_backward(trace, params, dy, penalty_weight):
         before = params["fm_w2"].grad.copy()
         true_backward(trace, params, dy, penalty_weight)
         # skew the regression head's output weights by 1% of their gradient
