@@ -78,14 +78,15 @@ def _load_manifest(path, config=None):
     return manifest, os.path.dirname(os.path.abspath(path))
 
 
-def _load_by_id(manifest_path, config, ids):
-    """Feature records for ids, in order; an unknown id is an IO error."""
+def _features_by_id(manifest_path, config, ids):
+    """The float64 (len(ids), L, D) features of ids; an unknown id is an IO error."""
     manifest, manifest_dir = _load_manifest(manifest_path, config)
     by_id = {r.id: r for r in manifest.records}
     for sample_id in ids:
         if sample_id not in by_id:
             raise CliError(f"unknown id {sample_id!r}", EXIT_IO)
-    return [dat.load_record(manifest, manifest_dir, by_id[i]) for i in ids]
+    records = [dat.feature_record(manifest, manifest_dir, by_id[i]) for i in ids]
+    return dat.read_features(records, np.empty((len(ids), config.num_locations, config.d)))
 
 
 def _load_checkpoint(path):
@@ -157,14 +158,15 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     params, norm = _load_checkpoint(args.checkpoint)
     t_steps = params.config.t
-    for record in _load_by_id(args.manifest, params.config, args.ids):
-        y, trace = trn.predict(params, norm, record.features)
+    batch = _features_by_id(args.manifest, params.config, args.ids)
+    for sample_id, features in zip(args.ids, batch):
+        y, trace = trn.predict(params, norm, features)
         # per-step contributions that sum to the unclamped denormalized y
         contributions = [
             norm.half_range * m + norm.mean / t_steps for m in trace.m_values()
         ]
         parts = " ".join(f"{c:.10f}" for c in contributions)
-        print(f"{record.id} {y:.10f} {parts}")
+        print(f"{sample_id} {y:.10f} {parts}")
     return EXIT_OK
 
 
@@ -185,8 +187,8 @@ def cmd_attmap(args) -> int:
     if args.id in ("", ".", "..") or os.path.basename(args.id) != args.id:
         raise CliError(f"--id {args.id!r} is not a single file name component")
     params, norm = _load_checkpoint(args.checkpoint)
-    (record,) = _load_by_id(args.manifest, params.config, [args.id])
-    y, trace = trn.predict(params, norm, record.features)
+    (features,) = _features_by_id(args.manifest, params.config, [args.id])
+    y, trace = trn.predict(params, norm, features)
     os.makedirs(args.out, exist_ok=True)
     cfg = params.config
     alphas = [a[0] for a in trace.alpha]

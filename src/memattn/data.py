@@ -28,11 +28,12 @@ class ManifestFormatError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureRecord:
     id: str
-    features: np.ndarray  # (L, D) float32, as stored; the model widens it
-    score: float | None = None
+    path: str  # its feature file, which read_features reads
+    score: float | None
+    grid: tuple[int, int, int]  # the manifest's (w, h, d), which the file must hold
 
 
 @dataclass
@@ -94,26 +95,30 @@ def write_feature_file(path, features: np.ndarray, w: int, h: int) -> None:
 
 def load_feature_file(path):
     """Returns (w, h, d, features) with the (W*H, D) features as stored,
-    float32: a dataset held in memory takes half the space of float64, and
-    the model widens each batch exactly."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != FEATURE_MAGIC:
-        raise FeatureFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 20:
-        raise FeatureFormatError(f"{path}: truncated header, {len(blob)} of 20 bytes")
-    version, w, h, d = struct.unpack_from("<IIII", blob, 4)
-    if version != FEATURE_VERSION:
-        raise FeatureFormatError(f"{path}: unsupported version {version}")
-    expected = 20 + 4 * w * h * d
-    if len(blob) != expected:
-        raise FeatureFormatError(
-            f"{path}: payload length mismatch, expected {expected} bytes, got {len(blob)}"
-        )
-    values = np.frombuffer(blob, dtype="<f4", offset=20)
+    float32. The file's size is checked against its header before the
+    payload is read, with one unbuffered read, into the buffer that the
+    features view."""
+    with open(path, "rb", buffering=0) as f:
+        header = f.read(20)
+        if header[:4] != FEATURE_MAGIC:
+            raise FeatureFormatError(f"{path}: bad magic {header[:4]!r}")
+        if len(header) < 20:
+            raise FeatureFormatError(f"{path}: truncated header, {len(header)} of 20 bytes")
+        version, w, h, d = struct.unpack_from("<IIII", header, 4)
+        if version != FEATURE_VERSION:
+            raise FeatureFormatError(f"{path}: unsupported version {version}")
+        expected, size = 20 + 4 * w * h * d, os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise FeatureFormatError(
+                f"{path}: payload length mismatch, expected {expected} bytes, got {size}"
+            )
+        values = np.empty(w * h * d, dtype="<f4")
+        got = f.readinto(values)
+    if got != values.nbytes:
+        raise FeatureFormatError(f"{path}: short read, {got} of {values.nbytes} payload bytes")
     if not np.isfinite(values).all():
         raise FeatureFormatError(f"{path}: non-finite feature value")
-    return w, h, d, values.astype(np.float32).reshape(w * h, d)
+    return w, h, d, values.reshape(w * h, d)
 
 
 def save_manifest(path, manifest: Manifest) -> None:
@@ -171,26 +176,36 @@ def load_manifest(path) -> Manifest:
     return manifest
 
 
-def load_record(manifest: Manifest, manifest_dir, record: ManifestRecord) -> FeatureRecord:
-    """Load one record's feature file; its dims must match the manifest."""
-    path = os.path.join(manifest_dir, record.path)
-    w, h, d, features = load_feature_file(path)
-    if (w, h, d) != (manifest.w, manifest.h, manifest.d):
-        raise FeatureFormatError(
-            f"{path}: dims {w}x{h}x{d} disagree with manifest "
-            f"{manifest.w}x{manifest.h}x{manifest.d}"
-        )
-    return FeatureRecord(id=record.id, features=features, score=record.score)
+def feature_record(manifest: Manifest, manifest_dir, record: ManifestRecord) -> FeatureRecord:
+    """The record naming its feature file under manifest_dir; reads nothing."""
+    return FeatureRecord(id=record.id, path=os.path.join(manifest_dir, record.path),
+                         score=record.score, grid=(manifest.w, manifest.h, manifest.d))
 
 
 def load_split(manifest: Manifest, manifest_dir, split: str) -> list[FeatureRecord]:
-    """The split's feature records; training and evaluation need every score."""
+    """The split's records, none of whose files is read here; training and
+    evaluation need every score."""
     records = manifest.split_records(split)
     for r in records:
         if r.score is None:
             raise ManifestFormatError(f"manifest: record {r.id!r} in split {split!r} "
                                       f"has no score")
-    return [load_record(manifest, manifest_dir, r) for r in records]
+    return [feature_record(manifest, manifest_dir, r) for r in records]
+
+
+def read_features(records: list[FeatureRecord], out: np.ndarray) -> np.ndarray:
+    """Read each record's file through load_feature_file into the next row of
+    out, a float64 (N, L, D) array of at least len(records) rows, widening it
+    exactly; returns the filled rows. A file whose dims disagree with its
+    record's grid raises FeatureFormatError."""
+    x = out[:len(records)]
+    for row, r in zip(x, records, strict=True):
+        w, h, d, features = load_feature_file(r.path)
+        if (w, h, d) != r.grid:
+            raise FeatureFormatError(f"{r.path}: dims {w}x{h}x{d} disagree with manifest "
+                                     f"{'x'.join(map(str, r.grid))}")
+        row[...] = features
+    return x
 
 
 # --- heatmap images ---------------------------------------------------------

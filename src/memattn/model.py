@@ -186,14 +186,15 @@ def attention_keys(x, params: ModelParams) -> np.ndarray | None:
     return ag.matmul(flat, params["att_K"].data.T)
 
 
-def attention_scores(keys, h_prev: np.ndarray, params: ModelParams):
+def attention_scores(keys, h_prev: np.ndarray, params: ModelParams, out=None):
     """(N, L) logits from attention_keys and the (N, L, D) tanh terms they
-    weight; all-ones logits and None when attention is disabled."""
+    weight, formed in out if it is given (the keys' own array included);
+    all-ones logits and None when attention is disabled."""
     if keys is None:
         return np.ones((len(h_prev), params.config.num_locations)), None
     # U h_prev + b is shared by all locations of a sample
     shared = _affine(h_prev, params["att_U"], params["att_b"])
-    th = keys.reshape(len(shared), -1, shared.shape[1]) + shared[:, None, :]
+    th = np.add(keys.reshape(len(shared), -1, shared.shape[1]), shared[:, None, :], out=out)
     np.tanh(th, out=th)
     return np.einsum("nld,ld->nl", th, params["att_M"].data), th
 
@@ -236,18 +237,34 @@ def _dropout_mask(shape, rate: float, rng, training: bool):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def forward(x, params: ModelParams, training: bool = False, rng=None) -> ForwardTrace:
+def tanh_slots(n: int, config: ModelConfig, training: bool) -> np.ndarray | None:
+    """Slots for the (n, L, D) tanh terms of every step but the last, whose
+    terms are formed in the keys: T - 1 for a training pass, which keeps them
+    all, and at most one for an eval pass; None when attention is disabled."""
+    if not config.attention_enabled:
+        return None
+    count = config.t - 1 if training else min(1, config.t - 1)
+    return np.empty((count, n, config.num_locations, config.d))
+
+
+def forward(x, params: ModelParams, training: bool = False, rng=None, slots=None) -> ForwardTrace:
     """Run the full T-step loop over the (N, L, D) batch x. A training pass
     draws dropout masks from rng and keeps the per-step intermediates that
-    backward reads; an eval pass keeps none, so each step's (N, L, D) tanh
-    terms are freed before the next step's."""
+    backward reads; an eval pass keeps none. The tanh terms go into slots
+    from tanh_slots for at least N samples (fresh if none are given), which
+    a caller may reuse once it is done with the pass."""
     cfg = params.config
     x = _features(x, cfg)
+    if slots is None:
+        slots = tanh_slots(len(x), cfg, training)
     h, c = init_state(x, params)
     keys = attention_keys(x, params)
     alphas, ms, steps = [], [], []
-    for _ in range(cfg.t):
-        e, th = attention_scores(keys, h, params)
+    for t in range(cfg.t):
+        out = None
+        if keys is not None:  # the last step reads the keys for the last time
+            out = keys.reshape(x.shape) if t == cfg.t - 1 else slots[t if training else 0, :len(x)]
+        e, th = attention_scores(keys, h, params, out)
         alpha = ag.softmax_vec(e)
         z = attend(x, alpha)
         # the context's mask is drawn before the hidden layer's
@@ -259,7 +276,7 @@ def forward(x, params: ModelParams, training: bool = False, rng=None) -> Forward
         m, hidden = discrete_score(h_next, params, h_mask)
         if training:
             steps.append(_Step(h, c, th, z, z_mask, gates, c_next, h_next, hidden, h_mask))
-        h, c, th = h_next, c_next, None
+        h, c = h_next, c_next
         alphas.append(alpha)
         ms.append(m)
     return ForwardTrace(alpha=alphas, m=ms, y=sum(ms[1:], ms[0]), x=x, steps=steps)

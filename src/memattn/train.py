@@ -15,16 +15,16 @@ import numpy as np
 
 from . import autograd as ag
 from . import model as mdl
-from .data import atomic_open
+from .data import atomic_open, read_features
 from .metrics import spearman_rho
 from .metrics import mse as mse_metric
 
 # A batched pass has BUDGET // (L*D) samples, at least 1 and at most
-# MAX_PASS. Its memory grows with N*L*D: a train pass (train_epoch, loss)
-# peaks in its forward at T + 2 such arrays (the float64 batch x, the keys
-# and the T steps' tanh terms, which backward turns into key grads in place);
-# an eval pass (_scores) keeps no step and holds x, the keys and one step's
-# tanh terms. BUDGET gives 4 samples at 14x14x256, where larger weight
+# MAX_PASS. Memory grows with N*L*D, not with the split: train_epoch and
+# evaluate read each pass's files into one float64 (N, L, D) batch array and
+# reuse one set of tanh slots. A train pass holds T + 1 such arrays (the
+# batch, T - 1 slots and the keys, which take the last step's tanh terms),
+# an eval pass 3. BUDGET gives 4 samples at 14x14x256, where larger weight
 # products pay; MAX_PASS caps the 7x7x32 ablation shape at 32, as larger
 # passes there run no faster and hold more.
 BUDGET = 4 * 14 * 14 * 256
@@ -89,17 +89,18 @@ class ScoreNorm:
         return cls(mean=d["mean"], half_range=d["half_range"])
 
 
-def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig, rng=None):
-    """The loss of one training pass, whose dropout masks come from rng: the
-    summed squared score error of the (N, L, D) batch x against its (N,)
-    normalized targets plus the weighted attention coverage penalty, as a
-    scalar Tensor whose backward adds its gradient into the Params. Weight
-    decay is applied in the optimizer step.
+def loss(x, targets, params: mdl.ModelParams, train_cfg: TrainConfig, rng=None,
+         slots=None):
+    """The loss of one training pass, whose dropout masks come from rng and
+    whose tanh terms go into slots: the summed squared score error of the
+    (N, L, D) batch x against its (N,) normalized targets plus the weighted
+    attention coverage penalty, as a scalar Tensor whose backward adds its
+    gradient into the Params. Weight decay is applied in the optimizer step.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
         raise ValueError("loss: non-finite target")
-    trace = mdl.forward(x, params, training=True, rng=rng)
+    trace = mdl.forward(x, params, training=True, rng=rng, slots=slots)
     if targets.shape != trace.y.shape:
         raise ag.DimensionError(f"loss: targets shape {targets.shape}, "
                                 f"scores shape {trace.y.shape}")
@@ -153,13 +154,14 @@ def _sub_batch(config: mdl.ModelConfig) -> int:
     return max(1, min(MAX_PASS, BUDGET // (config.num_locations * config.d)))
 
 
-def _backward_pass(records, params: mdl.ModelParams, train_cfg: TrainConfig,
-                   norm: ScoreNorm, rng) -> float:
-    """Add the grads of one sub-batch's summed loss into the Params and
-    return that loss. Its pass is freed on return, before the next runs."""
-    x = np.stack([r.features for r in records], dtype=np.float64)
+def _backward_pass(records, batch, slots, params: mdl.ModelParams,
+                   train_cfg: TrainConfig, norm: ScoreNorm, rng) -> float:
+    """Read the sub-batch's files into batch, add the grads of its summed
+    loss into the Params and return that loss. Its backward consumes the
+    pass, so batch and slots are free again on return."""
+    x = read_features(records, batch)
     targets = [norm.normalize(r.score) for r in records]
-    total = loss(x, targets, params, train_cfg, rng=rng)
+    total = loss(x, targets, params, train_cfg, rng=rng, slots=slots)
     value = total.item()
     if not math.isfinite(value):
         raise ag.NonFiniteError(f"train_epoch: non-finite loss {value}")
@@ -172,33 +174,36 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
     """One shuffled pass in minibatches; grads averaged per batch.
 
     Each minibatch runs as sub-batches of _sub_batch samples, one pass
-    and one backward each. Returns the mean per-sample loss over the
-    epoch. A non-finite sub-batch loss raises NonFiniteError before its
-    backward runs.
+    and one backward each, all in one batch array and one set of slots.
+    Returns the mean per-sample loss over the epoch. A non-finite sub-batch
+    loss raises NonFiniteError before its backward runs.
     """
     if not train_set:
         raise ValueError("train_epoch: empty training set")
     n = len(train_set)
     order = rng.permutation(n)
-    step = _sub_batch(params.config)
+    cfg = params.config
+    step = _sub_batch(cfg)
+    batch_x = np.empty((step, cfg.num_locations, cfg.d))
+    slots = mdl.tanh_slots(step, cfg, training=True)
     total_loss = 0.0
     for start in range(0, n, train_cfg.batch_size):
         batch = order[start : start + train_cfg.batch_size]
         params.grad[...] = 0.0
         for sub in range(0, len(batch), step):
             records = [train_set[int(i)] for i in batch[sub : sub + step]]
-            total_loss += _backward_pass(records, params, train_cfg, norm, rng)
+            total_loss += _backward_pass(records, batch_x, slots, params, train_cfg, norm, rng)
         params.grad *= 1.0 / len(batch)
         adam_step(params, opt_state, train_cfg)
     return total_loss / n
 
 
-def _scores(params: mdl.ModelParams, norm: ScoreNorm, x):
+def _scores(params: mdl.ModelParams, norm: ScoreNorm, x, slots=None):
     """Eval-mode pass over the (N, L, D) batch x: (clamped denormalized
     scores, raw trace without steps, so no backward). As in fit, overflows
     are left to the finiteness checks, so numpy prints no warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = mdl.forward(x, params)
+        trace = mdl.forward(x, params, slots=slots)
         y = norm.denormalize(trace.y)
     bad = ~np.isfinite(y)
     if bad.any():
@@ -214,12 +219,14 @@ def predict(params: mdl.ModelParams, norm: ScoreNorm, features):
 
 def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
     """(rho, mse) of the denormalized, clamped predictions, from eval
-    passes of _sub_batch samples; rho is None when the predictions or the
-    scores are constant, which leaves it undefined."""
-    step = _sub_batch(params.config)
+    passes of _sub_batch samples in one batch array; rho is None when the
+    predictions or the scores are constant, which leaves it undefined."""
+    cfg = params.config
+    step = _sub_batch(cfg)
+    batch = np.empty((step, cfg.num_locations, cfg.d))
+    slots = mdl.tanh_slots(step, cfg, training=False)
     preds = np.concatenate([
-        _scores(params, norm, np.stack([r.features for r in records[i : i + step]],
-                                       dtype=np.float64))[0]
+        _scores(params, norm, read_features(records[i : i + step], batch), slots)[0]
         for i in range(0, len(records), step)
     ])
     truths = [r.score for r in records]

@@ -74,7 +74,8 @@ def _ablation_run(tmp_path, seed, attention_enabled):
 def _hit_rate(params, records):
     """Share of records whose attention summed over the steps peaks at the
     planted location, which is the argmax of channel 0."""
-    x = np.stack([r.features for r in records])
+    cfg = params.config
+    x = dat.read_features(records, np.empty((len(records), cfg.num_locations, cfg.d)))
     alpha_sum = sum(mdl.forward(x, params).alpha)
     return float(np.mean(alpha_sum.argmax(axis=1) == x[:, :, 0].argmax(axis=1)))
 

@@ -632,11 +632,11 @@ def test_bad_manifest_is_io_error(workspace, tmp_path, capsys, fault):
     assert not made or not any((tmp_path / "run").iterdir())
 
 
-def test_non_finite_train_feature_is_io_error(tmp_path, capsys):
+def check_non_finite_feature_is_io_error(tmp_path, capsys, split, index):
     assert main(["synth", "--out", str(tmp_path), "--n", "20",
                  "--w", "2", "--h", "2", "--d", "4"]) == EXIT_OK
     capsys.readouterr()
-    record = dat.load_manifest(tmp_path / "manifest.json").split_records("train")[3]
+    record = dat.load_manifest(tmp_path / "manifest.json").split_records(split)[index]
     path = tmp_path / record.path
     w, h, _, features = dat.load_feature_file(path)
     features[1, 2] = np.nan
@@ -646,6 +646,16 @@ def test_non_finite_train_feature_is_io_error(tmp_path, capsys):
     assert code == EXIT_IO
     assert err.startswith("error:") and err.count("\n") == 1
     assert record.path in err
+    assert not (tmp_path / "run" / "checkpoint.amwt").exists()
+
+
+def test_non_finite_train_feature_is_io_error(tmp_path, capsys):
+    check_non_finite_feature_is_io_error(tmp_path, capsys, "train", 3)
+
+
+def test_non_finite_val_feature_is_io_error(tmp_path, capsys):
+    # the file is first read by the val evaluation that ends epoch 1
+    check_non_finite_feature_is_io_error(tmp_path, capsys, "val", 1)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -42,6 +44,32 @@ def test_feature_file_truncated_header(tmp_path):
     path.write_bytes(b"AMFT" + struct.pack("<II", 1, 2))
     with pytest.raises(dat.FeatureFormatError, match="header"):
         dat.load_feature_file(path)
+
+
+def test_oversized_feature_file_is_rejected_before_its_payload_is_read(tmp_path):
+    # a valid 2x2x4 header in front of a 64 MB sparse file
+    path = tmp_path / "big.amft"
+    with open(path, "wb") as f:
+        f.write(b"AMFT" + struct.pack("<IIII", 1, 2, 2, 4))
+        f.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(dat.FeatureFormatError, match="expected 84 bytes, got 67108864"):
+            dat.load_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_feature_file_that_shrinks_before_its_read_is_format_error(tmp_path, monkeypatch):
+    path = tmp_path / "short.amft"
+    dat.write_feature_file(path, np.zeros((4, 3)), w=2, h=2)
+    path.write_bytes(path.read_bytes()[:-8])
+    with monkeypatch.context() as patch:  # the size check still sees the full file
+        patch.setattr(dat.os, "fstat", lambda fd: types.SimpleNamespace(st_size=20 + 48))
+        with pytest.raises(dat.FeatureFormatError, match="short read, 40 of 48 payload bytes"):
+            dat.load_feature_file(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -151,13 +179,42 @@ def test_load_split_needs_scores(tmp_path):
         dat.load_split(manifest, tmp_path, "train")
 
 
-def test_load_split_checks_dims(tmp_path):
+def test_load_split_reads_no_feature_file(tmp_path, monkeypatch):
+    manifest, _ = dat.synth_dataset(8, tmp_path, seed=1, w=2, h=2, d=4)
+    reads = []
+    monkeypatch.setattr(dat, "load_feature_file", reads.append)
+    for split in dat.SPLITS:
+        records = dat.load_split(manifest, tmp_path, split)
+        assert [r.path for r in records] == [
+            str(tmp_path / r.path) for r in manifest.split_records(split)]
+        assert {r.grid for r in records} <= {(2, 2, 4)}
+    assert reads == []
+    manifest.records[0].score = None
+    with pytest.raises(dat.ManifestFormatError, match="no score"):
+        dat.load_split(manifest, tmp_path, "train")
+    assert reads == []
+
+
+def test_first_read_checks_dims(tmp_path):
+    # the manifest's grid is checked when a pass first reads the file
     dat.write_feature_file(tmp_path / "a.amft", np.zeros((4, 3)), w=2, h=2)
     manifest = dat.Manifest(w=2, h=2, d=9, records=[
         dat.ManifestRecord(id="a", path="a.amft", score=0.5, split="train"),
     ])
+    records = dat.load_split(manifest, tmp_path, "train")
     with pytest.raises(dat.FeatureFormatError, match="disagree"):
-        dat.load_split(manifest, tmp_path, "train")
+        dat.read_features(records, np.empty((1, 4, 9)))
+
+
+def test_read_features_widens_each_file_into_its_row(tmp_path):
+    manifest, _ = dat.synth_dataset(6, tmp_path, seed=2, w=2, h=2, d=4)
+    records = dat.load_split(manifest, tmp_path, "train")
+    out = np.full((5, 4, 4), -1.0)
+    x = dat.read_features(records, out)
+    assert len(records) == 4 and x.shape == (4, 4, 4) and np.shares_memory(x, out)
+    for row, r in zip(x, records):
+        np.testing.assert_array_equal(row, dat.load_feature_file(r.path)[3])
+    assert (out[4] == -1.0).all()
 
 
 # --- heatmap images ---------------------------------------------------------

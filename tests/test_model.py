@@ -520,10 +520,11 @@ def test_eval_pass_keeps_no_step_arrays():
 
 def test_train_pass_peak_memory():
     # Above the caller's float64 batch x, one loss + backward holds at most
-    # T + 1 (N, L, D) arrays (the forward's keys and the T steps' tanh terms;
-    # backward turns those terms into the key grads in place, so it adds no
-    # such array) plus two arrays the size of the largest weight (a weight
-    # grad's product and one more).
+    # T + 1 (N, L, D) arrays (it uses T: the forward's keys, which take the
+    # last step's tanh terms, and T - 1 fresh slots for the others; backward
+    # turns those terms into the key grads in place, so it adds no such
+    # array) plus two arrays the size of the largest weight (a weight grad's
+    # product and one more).
     cfg = tiny_config(w=10, h=10, d=64, b=64, fm_hidden=8, dropout_rate=0.5, dropout_z=0.5)
     params = mdl.init_params(cfg)
     x = random_features(cfg, seed=21, n=4)

@@ -226,7 +226,7 @@ def test_batch_of_identical_samples_matches_single_sample_gradient(tmp_path):
     def batch_grads(records):
         params = mdl.init_params(cfg)
         params.grad[...] = 0.0
-        x = np.stack([r.features for r in records])
+        x = dat.read_features(records, np.empty((len(records), cfg.num_locations, cfg.d)))
         total = trn.loss(x, [norm.normalize(r.score) for r in records], params, tcfg)
         total.backward()
         return {p.name: p.grad / len(records) for p in params.params()}
@@ -297,7 +297,35 @@ def test_train_epoch_calls_backward_once_per_sub_batch(tmp_path, monkeypatch):
     assert calls == [()] * 6
 
 
-def test_sub_batch_sizes_at_the_benchmark_shapes(monkeypatch):
+def test_passes_read_each_file_once_into_one_batch_array(tmp_path, monkeypatch):
+    records = tiny_dataset(tmp_path, n=16)
+    cfg = tiny_config()
+    monkeypatch.setattr(trn, "BUDGET", 3 * cfg.num_locations * cfg.d)
+    reads, batches = [], []
+    true_load, true_forward = dat.load_feature_file, mdl.forward
+    monkeypatch.setattr(dat, "load_feature_file",
+                        lambda path: reads.append(path) or true_load(path))
+    monkeypatch.setattr(mdl, "forward",
+                        lambda x, *args, **kwargs: batches.append(x) or true_forward(
+                            x, *args, **kwargs))
+    params = mdl.init_params(cfg)
+    norm = trn.ScoreNorm.from_scores([r.score for r in records])
+    paths = sorted(r.path for r in records)
+    trn.train_epoch(records, params, trn.AdamState(params),
+                    trn.TrainConfig(batch_size=8), norm, np.random.default_rng(0))
+    trained = batches[:]
+    assert sorted(reads) == paths
+    reads.clear()
+    batches.clear()
+    trn.evaluate(params, norm, records)
+    assert sorted(reads) == paths
+    # two minibatches of 8 in passes of 3, 3 and 2; then passes of 3, ..., 3, 1
+    for passes in (trained, batches):
+        assert len(passes) == 6
+        assert all(np.shares_memory(x, passes[0]) for x in passes)
+
+
+def test_sub_batch_sizes_at_the_benchmark_shapes(tmp_path, monkeypatch):
     mid = mdl.ModelConfig(w=14, h=14, d=256)
     ablation = mdl.ModelConfig(w=7, h=7, d=32)
     assert trn._sub_batch(mid) >= 4
@@ -306,8 +334,11 @@ def test_sub_batch_sizes_at_the_benchmark_shapes(monkeypatch):
     cfg = mdl.ModelConfig(w=14, h=14, d=256, b=8, t=3, fm_hidden=4,
                           dropout_rate=0.0, dropout_z=0.0, seed=0)
     rng = np.random.default_rng(0)
-    records = [dat.FeatureRecord(id=str(i), features=rng.normal(size=(196, 256)),
-                                 score=score) for i, score in enumerate([0.2, 0.7])]
+    records = []
+    for i, score in enumerate([0.2, 0.7]):
+        path = str(tmp_path / f"{i}.amft")
+        dat.write_feature_file(path, rng.normal(size=(196, 256)), w=14, h=14)
+        records.append(dat.FeatureRecord(id=str(i), path=path, score=score, grid=(14, 14, 256)))
     calls = []
     true_backward = mdl.backward
     monkeypatch.setattr(mdl, "backward", lambda trace, *args: calls.append(
@@ -330,8 +361,8 @@ def test_batched_evaluate_matches_per_sample_predictions(tmp_path, monkeypatch):
     passes = []
     true_scores = trn._scores
 
-    def recording_scores(params, norm, x):
-        y, trace = true_scores(params, norm, x)
+    def recording_scores(params, norm, x, slots=None):
+        y, trace = true_scores(params, norm, x, slots)
         passes.append(y)
         return y, trace
 
@@ -340,7 +371,8 @@ def test_batched_evaluate_matches_per_sample_predictions(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert len(passes[0]) == trn._sub_batch(cfg) > 1
     batched = np.concatenate(passes)
-    single = np.array([trn.predict(params, norm, r.features)[0] for r in records])
+    x = dat.read_features(records, np.empty((len(records), 14 * 14, 64)))
+    single = np.array([trn.predict(params, norm, grid)[0] for grid in x])
     assert len(np.unique(single)) == len(records)  # no clamping or ties hide a difference
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
     truths = [r.score for r in records]
