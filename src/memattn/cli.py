@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config_file(path):
     """The --config JSON object; it may hold only model and train sections,
-    both objects, and the model section may not set the manifest's grid."""
+    both objects."""
     if path is None:
         return {}
     with open(path) as f:
@@ -52,35 +52,35 @@ def _load_config_file(path):
             raise CliError(f"{path}: unknown section {section!r}, expected model or train")
         if not isinstance(block, dict):
             raise CliError(f"{path}: section {section!r} must be a JSON object")
-    for key in ("w", "h", "d"):
-        if key in config.get("model", {}):
-            raise CliError(f"{path}: model field {key!r} is set by the manifest")
     return config
 
 
-def _config(cfg, section, block, **overrides):
-    """cfg with a config-file section and then the non-None overrides applied."""
-    given = {key: value for key, value in overrides.items() if value is not None}
+def _config(cfg, section, block, **fixed):
+    """cfg with block and then the fixed fields applied; block may set no fixed field."""
+    for key in fixed:
+        if key in block:
+            raise CliError(f"{section} config: field {key!r} is set by the manifest or a flag")
     try:
-        return mdl.read_config(cfg, {**block, **given})
+        return mdl.read_config(cfg, {**block, **fixed})
     except ValueError as exc:
         raise CliError(f"{section} config: {exc}") from None
 
 
 def _load_manifest(path, config=None):
-    """(manifest, its directory); with a checkpoint's config the grids must agree."""
+    """The manifest at path; with a checkpoint's config the grids must agree."""
     manifest = dat.load_manifest(path)
     if config is not None:
         grid, expected = (f"{c.w}x{c.h}x{c.d}" for c in (manifest, config))
         if grid != expected:
             raise CliError(f"{path}: manifest grid {grid} does not match checkpoint "
                            f"grid {expected}", EXIT_IO)
-    return manifest, os.path.dirname(os.path.abspath(path))
+    return manifest
 
 
 def _features_by_id(manifest_path, config, ids):
     """The float64 (len(ids), L, D) features of ids; an unknown id is an IO error."""
-    manifest, manifest_dir = _load_manifest(manifest_path, config)
+    manifest = _load_manifest(manifest_path, config)
+    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     by_id = {r.id: r for r in manifest.records}
     for sample_id in ids:
         if sample_id not in by_id:
@@ -96,21 +96,20 @@ def _load_checkpoint(path):
 
 def cmd_train(args) -> int:
     config_file = _load_config_file(args.config)
-    manifest, manifest_dir = _load_manifest(args.manifest)
+    manifest = _load_manifest(args.manifest)
     model_cfg = _config(
         mdl.ModelConfig(b=32, fm_hidden=32, dropout_rate=0.0, dropout_z=0.0),
         "model", config_file.get("model", {}),
         # the grid comes from the manifest alone: features on disk fix the input contract
         w=manifest.w, h=manifest.h, d=manifest.d, seed=args.seed,
-        attention_enabled=False if args.no_attention else None,
+        attention_enabled=not args.no_attention,
     )
     train_cfg = _config(trn.TrainConfig(), "train", config_file.get("train", {}), seed=args.seed)
-    # the configs and split sizes are checked before a feature file is read
-    if not manifest.split_records("train") or len(manifest.split_records("val")) < 2:
+    # the configs, scores and split sizes are checked before --out is made
+    train_set, val_set = (dat.load_split(manifest, args.manifest, s) for s in ("train", "val"))
+    if not train_set or len(val_set) < 2:
         raise CliError("manifest needs a non-empty train split and 2 or more val records")
     os.makedirs(args.out, exist_ok=True)  # a bad --out fails before any training
-    train_set = dat.load_split(manifest, manifest_dir, "train")
-    val_set = dat.load_split(manifest, manifest_dir, "val")
 
     result = trn.fit(train_set, val_set, model_cfg, train_cfg)
     checkpoint_path = os.path.join(args.out, "checkpoint.amwt")
@@ -130,15 +129,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, norm = _load_checkpoint(args.checkpoint)
-    # every manifest's grid and split size is checked before the first pass runs
-    manifests = [(path, *_load_manifest(path, params.config)) for path in args.manifest]
-    for path, manifest, _ in manifests:
-        size = len(manifest.split_records(args.split))
-        if size < 2:
-            raise CliError(f"{path}: split {args.split!r} needs 2 or more records, has {size}")
+    # every manifest's grid, scores and split size are checked before the first pass runs
+    splits = [(path, dat.load_split(_load_manifest(path, params.config), path, args.split))
+              for path in args.manifest]
+    for path, records in splits:
+        if len(records) < 2:
+            raise CliError(f"{path}: split {args.split!r} needs 2 or more records, "
+                           f"has {len(records)}")
     results = []
-    for path, manifest, manifest_dir in manifests:
-        records = dat.load_split(manifest, manifest_dir, args.split)
+    for path, records in splits:
         rho, mse = trn.evaluate(params, norm, records)
         if rho is None:
             raise CliError(f"{path}: rho of split {args.split!r} is undefined: the "
@@ -269,7 +268,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="the model and the training seed")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--no-attention", action="store_true",

@@ -182,13 +182,14 @@ def feature_record(manifest: Manifest, manifest_dir, record: ManifestRecord) -> 
                          score=record.score, grid=(manifest.w, manifest.h, manifest.d))
 
 
-def load_split(manifest: Manifest, manifest_dir, split: str) -> list[FeatureRecord]:
-    """The split's records, none of whose files is read here; training and
-    evaluation need every score."""
+def load_split(manifest: Manifest, manifest_path, split: str) -> list[FeatureRecord]:
+    """The split's records, none of whose files is read here; training and evaluation need
+    every score. Errors name manifest_path, and record paths are relative to its directory."""
+    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     records = manifest.split_records(split)
     for r in records:
         if r.score is None:
-            raise ManifestFormatError(f"manifest: record {r.id!r} in split {split!r} "
+            raise ManifestFormatError(f"{manifest_path}: record {r.id!r} in split {split!r} "
                                       f"has no score")
     return [feature_record(manifest, manifest_dir, r) for r in records]
 

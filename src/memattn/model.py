@@ -397,7 +397,8 @@ def save_checkpoint(path, params: ModelParams, norm: dict) -> None:
         f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(meta)) + meta)
         for p in params.params():
             f.write(_param_header(p.name, p.data.shape))
-            f.write(p.data.astype("<f8").tobytes())
+            # a byte view: no copy on a little-endian host, one conversion elsewhere
+            f.write(memoryview(p.data.astype("<f8", copy=False)).cast("B"))
 
 
 class CheckpointFormatError(ValueError):

@@ -56,12 +56,13 @@ def test_per_step_score_sums_match_displayed_totals():
 
 def _ablation_run(tmp_path, seed, attention_enabled):
     data_dir = tmp_path / f"synth{seed}"
-    if not (data_dir / "manifest.json").exists():
+    path = data_dir / "manifest.json"
+    if not path.exists():
         dat.synth_dataset(2000, data_dir, seed=seed, w=7, h=7, d=32, noise=0.02)
-    manifest = dat.load_manifest(data_dir / "manifest.json")
-    train_set = dat.load_split(manifest, data_dir, "train")
-    val_set = dat.load_split(manifest, data_dir, "val")
-    test_set = dat.load_split(manifest, data_dir, "test")
+    manifest = dat.load_manifest(path)
+    train_set = dat.load_split(manifest, path, "train")
+    val_set = dat.load_split(manifest, path, "val")
+    test_set = dat.load_split(manifest, path, "test")
     mcfg = mdl.ModelConfig(w=7, h=7, d=32, b=32, t=3, fm_hidden=32,
                            dropout_rate=0.0, dropout_z=0.0,
                            attention_enabled=attention_enabled, seed=seed)
@@ -101,7 +102,7 @@ def test_overfit_capacity(tmp_path):
     manifest, _ = dat.synth_dataset(16, tmp_path, seed=3, w=2, h=2, d=8, noise=0.0)
     records = []
     for split in dat.SPLITS:
-        records += dat.load_split(manifest, tmp_path, split)
+        records += dat.load_split(manifest, tmp_path / "manifest.json", split)
     cfg = mdl.ModelConfig(w=2, h=2, d=8, b=8, t=3, fm_hidden=8,
                           dropout_rate=0.0, dropout_z=0.0, seed=0)
     tcfg = trn.TrainConfig(batch_size=16, penalty_weight=0.0, weight_decay=0.0, seed=0)
@@ -208,8 +209,8 @@ def test_invariance_suite_feature_roundtrip(tmp_path):
 
 def test_early_stopping_contract(tmp_path):
     manifest, _ = dat.synth_dataset(60, tmp_path, seed=5, w=2, h=2, d=8, noise=0.05)
-    train_set = dat.load_split(manifest, tmp_path, "train")
-    val_set = dat.load_split(manifest, tmp_path, "val")
+    train_set = dat.load_split(manifest, tmp_path / "manifest.json", "train")
+    val_set = dat.load_split(manifest, tmp_path / "manifest.json", "val")
     cfg = mdl.ModelConfig(w=2, h=2, d=8, b=8, t=3, fm_hidden=8,
                           dropout_rate=0.0, dropout_z=0.0, seed=0)
 

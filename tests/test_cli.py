@@ -15,8 +15,8 @@ from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
 from memattn.cli import (
-    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, GRADCHECK_TOLERANCE, CliError,
-    _load_config_file, build_parser, gradcheck_report, heatmap_bytes, main,
+    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, GRADCHECK_TOLERANCE, build_parser,
+    gradcheck_report, heatmap_bytes, main,
 )
 
 CONFIG = {
@@ -224,6 +224,25 @@ def test_eval_constant_predictions_clean_error(workspace, tmp_path, capsys):
     assert "constant" in err
 
 
+def test_eval_checks_every_manifest_before_its_first_pass(workspace, tmp_path, capsys,
+                                                         feature_reads):
+    with open(workspace["manifest"]) as f:
+        payload = json.load(f)
+    data_dir = os.path.dirname(workspace["manifest"])
+    unscored = next(r for r in payload["records"] if r["split"] == "test")
+    for r in payload["records"]:
+        r["path"] = os.path.join(data_dir, r["path"])
+    del unscored["score"]
+    second = tmp_path / "unscored.json"
+    second.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["eval", "--checkpoint", workspace["checkpoint"],
+                                  "--manifest", workspace["manifest"], str(second)])
+    assert code == EXIT_IO and out == ""
+    assert feature_reads == []  # the first manifest's pass never ran
+    assert err.startswith(f"error: {second}: ") and err.count("\n") == 1
+    assert repr(unscored["id"]) in err and "no score" in err
+
+
 def test_eval_missing_checkpoint(workspace, capsys):
     code, _, err = run(capsys, ["eval", "--checkpoint", "/nonexistent.amwt",
                                 "--manifest", workspace["manifest"]])
@@ -396,13 +415,13 @@ SURFACE = {
     "synth": ["--d", "--h", "--n", "--noise", "--out", "--seed", "--w"],
 }
 CONFIG_KEYS = {
-    "model": ["b", "t", "fm_hidden", "dropout_rate", "dropout_z", "attention_enabled", "seed"],
+    "model": ["b", "t", "fm_hidden", "dropout_rate", "dropout_z"],
     "train": ["learning_rate", "penalty_weight", "weight_decay", "batch_size", "max_epochs",
-              "patience", "seed"],
+              "patience"],
 }
 
 
-def test_cli_and_config_surface(tmp_path):
+def test_cli_and_config_surface(workspace, tmp_path, monkeypatch, capsys):
     (subcommands,) = [a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)]
     flags = {name: sorted(a.option_strings[0] if a.option_strings else a.dest
@@ -410,17 +429,30 @@ def test_cli_and_config_surface(tmp_path):
              for name, p in subcommands.choices.items()}
     assert flags == SURFACE
     assert sum(map(len, flags.values())) == 23
+    # a key is accepted when train, given it alone in --config, gets as far as fit
+    class Accepted(Exception):
+        pass
+
+    def accept(*args):
+        raise Accepted
+
+    monkeypatch.setattr(trn, "fit", accept)
     config = tmp_path / "config.json"
     accepted = {}
     for section, cls in (("model", mdl.ModelConfig), ("train", trn.TrainConfig)):
         accepted[section] = []
         for f in dataclasses.fields(cls):
             config.write_text(json.dumps({section: {f.name: f.default}}))
-            with contextlib.suppress(CliError):
-                _load_config_file(str(config))
+            try:
+                code, _, err = run(capsys, ["train", "--manifest", workspace["manifest"],
+                                            "--config", str(config),
+                                            "--out", str(tmp_path / "run")])
+            except Accepted:
                 accepted[section].append(f.name)
+            else:
+                assert code == EXIT_USAGE and repr(f.name) in err, err
     assert accepted == CONFIG_KEYS
-    assert sum(map(len, accepted.values())) == 14
+    assert sum(map(len, accepted.values())) == 11
 
 
 def test_missing_required_flag_is_usage_error(capsys):
@@ -452,6 +484,12 @@ def test_removed_flags_are_usage_errors(workspace, tmp_path, monkeypatch, capsys
     ("train", {"seed": -1}, "seed"),
     # the manifest sets the grid, even to the value it already has
     ("model", {"w": 2}, "'w'"),
+    ("model", {"h": 2}, "'h'"),
+    ("model", {"d": 8}, "'d'"),
+    # --seed sets both seeds and --no-attention the ablation, even to their defaults
+    ("model", {"seed": 0}, "'seed'"),
+    ("model", {"attention_enabled": True}, "'attention_enabled'"),
+    ("train", {"seed": 0}, "'seed'"),
 ])
 def test_bad_config_value_is_usage_error(workspace, tmp_path, capsys, feature_reads,
                                          section, block, field):
@@ -610,6 +648,9 @@ MANIFEST_FAULTS = {
     "train record without score": lambda payload: json.dumps({**payload, "records": [
         {k: v for k, v in payload["records"][0].items() if k != "score"},
         *payload["records"][1:]]}),
+    "val record without score": lambda payload: json.dumps({**payload, "records": [
+        {k: v for k, v in r.items() if k != "score" or r["split"] != "val"}
+        for r in payload["records"]]}),
 }
 
 
@@ -626,8 +667,10 @@ def test_bad_manifest_is_io_error(workspace, tmp_path, capsys, fault):
                                 "--out", str(tmp_path / "run")])
     assert code == EXIT_IO
     assert err.startswith("error:") and err.count("\n") == 1
-    # a manifest that loads fails only after --out is made, and writes nothing there
-    made = fault in ("train record without score", "train scores all equal")
+    # equal train scores fail in fit, after --out is made, and write nothing there;
+    # every other fault names the manifest and fails before --out is made
+    made = fault == "train scores all equal"
+    assert made or str(manifest) in err
     assert (tmp_path / "run").exists() == made
     assert not made or not any((tmp_path / "run").iterdir())
 

@@ -174,9 +174,11 @@ def test_load_split_needs_scores(tmp_path):
     manifest = dat.Manifest(w=1, h=1, d=1, records=[
         dat.ManifestRecord(id="a", path="a.amft", score=None, split="train"),
     ])
-    assert dat.load_split(manifest, tmp_path, "test") == []
-    with pytest.raises(dat.ManifestFormatError, match="'a'.*no score"):
-        dat.load_split(manifest, tmp_path, "train")
+    path = tmp_path / "manifest.json"
+    assert dat.load_split(manifest, path, "test") == []
+    with pytest.raises(dat.ManifestFormatError, match="'a'.*no score") as info:
+        dat.load_split(manifest, path, "train")
+    assert str(info.value).startswith(f"{path}: ")  # the error names the manifest file
 
 
 def test_load_split_reads_no_feature_file(tmp_path, monkeypatch):
@@ -184,14 +186,14 @@ def test_load_split_reads_no_feature_file(tmp_path, monkeypatch):
     reads = []
     monkeypatch.setattr(dat, "load_feature_file", reads.append)
     for split in dat.SPLITS:
-        records = dat.load_split(manifest, tmp_path, split)
+        records = dat.load_split(manifest, tmp_path / "manifest.json", split)
         assert [r.path for r in records] == [
             str(tmp_path / r.path) for r in manifest.split_records(split)]
         assert {r.grid for r in records} <= {(2, 2, 4)}
     assert reads == []
     manifest.records[0].score = None
     with pytest.raises(dat.ManifestFormatError, match="no score"):
-        dat.load_split(manifest, tmp_path, "train")
+        dat.load_split(manifest, tmp_path / "manifest.json", "train")
     assert reads == []
 
 
@@ -201,14 +203,14 @@ def test_first_read_checks_dims(tmp_path):
     manifest = dat.Manifest(w=2, h=2, d=9, records=[
         dat.ManifestRecord(id="a", path="a.amft", score=0.5, split="train"),
     ])
-    records = dat.load_split(manifest, tmp_path, "train")
+    records = dat.load_split(manifest, tmp_path / "manifest.json", "train")
     with pytest.raises(dat.FeatureFormatError, match="disagree"):
         dat.read_features(records, np.empty((1, 4, 9)))
 
 
 def test_read_features_widens_each_file_into_its_row(tmp_path):
     manifest, _ = dat.synth_dataset(6, tmp_path, seed=2, w=2, h=2, d=4)
-    records = dat.load_split(manifest, tmp_path, "train")
+    records = dat.load_split(manifest, tmp_path / "manifest.json", "train")
     out = np.full((5, 4, 4), -1.0)
     x = dat.read_features(records, out)
     assert len(records) == 4 and x.shape == (4, 4, 4) and np.shares_memory(x, out)

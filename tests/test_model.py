@@ -652,6 +652,16 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
         "85ec4f5ac959dc1e5ea55153aa0154564235d2f262b8d1cd5f826a87c8a5335b")
 
 
+def test_checkpoint_save_peak_memory(tmp_path):
+    # each parameter is written through a byte view of its slice of
+    # params.data; a copy of the largest weight alone would take 1 MB here
+    params = mdl.ModelParams(tiny_config(w=14, h=14, d=256, b=256, fm_hidden=128))
+    peak, _, _ = traced_peak(
+        lambda: mdl.save_checkpoint(tmp_path / "model.amwt", params, norm=NORM))
+    assert max(p.data.nbytes for p in params.params()) == 2 ** 20
+    assert peak < 64 * 1024, peak
+
+
 def test_checkpoint_non_finite_weights_rejected(tmp_path):
     params = mdl.init_params(tiny_config())
     params["lstm_Wf"].data[1, 2] = np.nan

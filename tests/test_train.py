@@ -26,7 +26,7 @@ def tiny_dataset(tmp_path, n=16, noise=0.0, seed=3):
     manifest, _ = dat.synth_dataset(n, tmp_path, seed=seed, w=2, h=2, d=8, noise=noise)
     records = []
     for split in dat.SPLITS:
-        records += dat.load_split(manifest, tmp_path, split)
+        records += dat.load_split(manifest, tmp_path / "manifest.json", split)
     return records
 
 
@@ -353,7 +353,7 @@ def test_batched_evaluate_matches_per_sample_predictions(tmp_path, monkeypatch):
     manifest, _ = dat.synth_dataset(40, tmp_path, seed=8, w=14, h=14, d=64)
     records = []
     for split in dat.SPLITS:
-        records += dat.load_split(manifest, tmp_path, split)
+        records += dat.load_split(manifest, tmp_path / "manifest.json", split)
     cfg = mdl.ModelConfig(w=14, h=14, d=64, b=32, t=3, fm_hidden=16,
                           dropout_rate=0.5, dropout_z=0.5, seed=0)
     params = mdl.init_params(cfg)
@@ -435,8 +435,8 @@ def test_best_rho_is_max_of_recorded(tmp_path):
 
 def test_fit_deterministic_report(tmp_path):
     manifest, _ = dat.synth_dataset(30, tmp_path, seed=6, w=2, h=2, d=8)
-    train_set = dat.load_split(manifest, tmp_path, "train")
-    val_set = dat.load_split(manifest, tmp_path, "val")
+    train_set = dat.load_split(manifest, tmp_path / "manifest.json", "train")
+    val_set = dat.load_split(manifest, tmp_path / "manifest.json", "val")
     cfg = tiny_config()
     tcfg = trn.TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=1)
     a = trn.fit(train_set, val_set, cfg, tcfg)
@@ -447,8 +447,8 @@ def test_fit_deterministic_report(tmp_path):
 
 def test_loss_decreases_smoothly_without_attention(tmp_path):
     manifest, _ = dat.synth_dataset(40, tmp_path, seed=7, w=2, h=2, d=8)
-    train_set = dat.load_split(manifest, tmp_path, "train")
-    val_set = dat.load_split(manifest, tmp_path, "val")
+    train_set = dat.load_split(manifest, tmp_path / "manifest.json", "train")
+    val_set = dat.load_split(manifest, tmp_path / "manifest.json", "val")
     cfg = tiny_config(attention_enabled=False)
     tcfg = trn.TrainConfig(learning_rate=1e-4, penalty_weight=0.0, batch_size=8,
                            max_epochs=10, patience=10, seed=0)
