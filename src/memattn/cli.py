@@ -78,7 +78,8 @@ def _load_manifest(path, config=None):
 
 
 def _features_by_id(manifest_path, config, ids):
-    """The float64 (len(ids), L, D) features of ids; an unknown id is an IO error."""
+    """An iterator over the float64 (L, D) features of ids, each read when reached into
+    one reused (1, L, D) array; every id is checked first, an unknown id is an IO error."""
     manifest = _load_manifest(manifest_path, config)
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     by_id = {r.id: r for r in manifest.records}
@@ -86,7 +87,8 @@ def _features_by_id(manifest_path, config, ids):
         if sample_id not in by_id:
             raise CliError(f"unknown id {sample_id!r}", EXIT_IO)
     records = [dat.feature_record(manifest, manifest_dir, by_id[i]) for i in ids]
-    return dat.read_features(records, np.empty((len(ids), config.num_locations, config.d)))
+    grid = np.empty((1, config.num_locations, config.d))
+    return (dat.read_features([r], grid)[0] for r in records)
 
 
 def _load_checkpoint(path):
@@ -109,11 +111,17 @@ def cmd_train(args) -> int:
     train_set, val_set = (dat.load_split(manifest, args.manifest, s) for s in ("train", "val"))
     if not train_set or len(val_set) < 2:
         raise CliError("manifest needs a non-empty train split and 2 or more val records")
+    try:
+        norm = trn.ScoreNorm.from_scores(r.score for r in train_set)
+    except trn.DegenerateDatasetError as exc:
+        raise CliError(f"{args.manifest}: {exc}", EXIT_IO) from None
+    if len({r.score for r in val_set}) == 1:
+        raise CliError(f"{args.manifest}: all val scores identical, rho undefined", EXIT_IO)
     os.makedirs(args.out, exist_ok=True)  # a bad --out fails before any training
 
-    result = trn.fit(train_set, val_set, model_cfg, train_cfg)
+    result = trn.fit(train_set, val_set, norm, model_cfg, train_cfg)
     checkpoint_path = os.path.join(args.out, "checkpoint.amwt")
-    mdl.save_checkpoint(checkpoint_path, result.params, norm=dataclasses.asdict(result.norm))
+    mdl.save_checkpoint(checkpoint_path, result.params, norm=dataclasses.asdict(norm))
     result.to_jsonl(os.path.join(args.out, "report.jsonl"))
     print(json.dumps({
         "best_epoch": result.best_epoch,
@@ -157,8 +165,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     params, norm = _load_checkpoint(args.checkpoint)
     t_steps = params.config.t
-    batch = _features_by_id(args.manifest, params.config, args.ids)
-    for sample_id, features in zip(args.ids, batch):
+    grids = _features_by_id(args.manifest, params.config, args.ids)
+    for sample_id, features in zip(args.ids, grids):
         y, trace = trn.predict(params, norm, features)
         # per-step contributions that sum to the unclamped denormalized y
         contributions = [
@@ -323,7 +331,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (dat.FeatureFormatError, dat.ManifestFormatError, mdl.CheckpointFormatError,
-            trn.DegenerateDatasetError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -16,6 +16,7 @@ import collections
 import json
 import math
 import struct
+import sys
 import typing
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -409,8 +410,8 @@ def read_config(base, block: dict):
     """base, a config dataclass, with the fields of block applied.
 
     ValueError unless each key of block is a field and its value has the
-    field's type (a float field also takes an int, and must be finite), and
-    unless the result passes validate().
+    field's type (a float field also takes an int, and must be finite, so
+    within the float range), and unless the result passes validate().
     """
     hints = typing.get_type_hints(type(base))
     for key, value in block.items():
@@ -418,7 +419,7 @@ def read_config(base, block: dict):
             raise ValueError(f"unknown field {key!r}")
         if type(value) not in ((int, float) if hints[key] is float else (hints[key],)):
             raise ValueError(f"field {key!r} must be {hints[key].__name__}, got {value!r}")
-        if type(value) is float and not math.isfinite(value):
+        if hints[key] is float and not abs(value) <= sys.float_info.max:
             raise ValueError(f"field {key!r} must be finite, got {value!r}")
     config = replace(base, **block)
     config.validate()

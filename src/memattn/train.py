@@ -236,7 +236,6 @@ def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
 @dataclass
 class FitResult:
     params: mdl.ModelParams
-    norm: ScoreNorm
     epochs: list[dict] = field(default_factory=list)  # the report.jsonl records
     best_epoch: int = 0
     best_rho: float = float("-inf")
@@ -248,35 +247,32 @@ class FitResult:
                 f.write(json.dumps(e) + "\n")
 
 
-def fit(train_set, val_set, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig,
-        eval_fn=None) -> FitResult:
+def fit(train_set, val_set, norm: ScoreNorm, model_cfg: mdl.ModelConfig,
+        train_cfg: TrainConfig) -> FitResult:
     """Full training loop with early stopping on validation rank correlation.
 
-    eval_fn(params) -> (rho, mse) may be injected for testing; the default
-    evaluates the validation set in eval mode. An epoch whose rho is None
-    (undefined) is no improvement. A non-finite loss or prediction ends
-    the run; stop_reason says what ended it. The returned params
+    Each epoch trains on scores normalized with norm and evaluates the
+    validation set in eval mode; an epoch whose rho is None (undefined) is
+    no improvement. A non-finite loss or prediction ends the run;
+    stop_reason says what ended it. The returned params
     are those of the best epoch; NoValidEpochError if no epoch had a rho.
     Overflows are left to those checks, so numpy prints no warnings.
     """
     if not train_set or not val_set:
         raise ValueError("fit: train and validation sets must be non-empty")
     train_cfg.validate()
-    norm = ScoreNorm.from_scores([r.score for r in train_set])
     params = mdl.init_params(model_cfg)
     opt_state = AdamState(params)
     rng = np.random.default_rng(train_cfg.seed)
-    if eval_fn is None:
-        eval_fn = lambda p: evaluate(p, norm, val_set)
 
-    result = FitResult(params=params, norm=norm)
+    result = FitResult(params=params)
     best_values = None  # allocated at the first improvement, then overwritten
     bad_epochs = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, train_cfg.max_epochs + 1):
             try:
                 train_loss = train_epoch(train_set, params, opt_state, train_cfg, norm, rng)
-                val_rho, val_mse = eval_fn(params)
+                val_rho, val_mse = evaluate(params, norm, val_set)
             except ag.NonFiniteError as exc:
                 result.stop_reason = f"epoch {epoch}: {exc}"
                 break

@@ -67,8 +67,9 @@ def _ablation_run(tmp_path, seed, attention_enabled):
                            dropout_rate=0.0, dropout_z=0.0,
                            attention_enabled=attention_enabled, seed=seed)
     tcfg = trn.TrainConfig(batch_size=32, max_epochs=8, patience=8, seed=seed)
-    result = trn.fit(train_set, val_set, mcfg, tcfg)
-    rho, _ = trn.evaluate(result.params, result.norm, test_set)
+    norm = trn.ScoreNorm.from_scores(r.score for r in train_set)
+    result = trn.fit(train_set, val_set, norm, mcfg, tcfg)
+    rho, _ = trn.evaluate(result.params, norm, test_set)
     return rho, _hit_rate(result.params, test_set)
 
 
@@ -207,10 +208,11 @@ def test_invariance_suite_feature_roundtrip(tmp_path):
     report("bit-exact feature roundtrip", ok)
 
 
-def test_early_stopping_contract(tmp_path):
+def test_early_stopping_contract(tmp_path, monkeypatch):
     manifest, _ = dat.synth_dataset(60, tmp_path, seed=5, w=2, h=2, d=8, noise=0.05)
     train_set = dat.load_split(manifest, tmp_path / "manifest.json", "train")
     val_set = dat.load_split(manifest, tmp_path / "manifest.json", "val")
+    norm = trn.ScoreNorm.from_scores(r.score for r in train_set)
     cfg = mdl.ModelConfig(w=2, h=2, d=8, b=8, t=3, fm_hidden=8,
                           dropout_rate=0.0, dropout_z=0.0, seed=0)
 
@@ -219,20 +221,22 @@ def test_early_stopping_contract(tmp_path):
     snapshots = []
     calls = {"n": 0}
 
-    def eval_fn(params):
+    def scripted_evaluate(params, norm, records):
         snapshots.append(params.data.copy())
         rho = injected[calls["n"]]
         calls["n"] += 1
         return rho, 0.0
 
     tcfg = trn.TrainConfig(batch_size=16, max_epochs=4, patience=2, seed=0)
-    result = trn.fit(train_set, val_set, cfg, tcfg, eval_fn=eval_fn)
+    with monkeypatch.context() as m:
+        m.setattr(trn, "evaluate", scripted_evaluate)
+        result = trn.fit(train_set, val_set, norm, cfg, tcfg)
     ok = result.best_epoch == 2 and result.best_rho == 0.7
     ok = ok and np.array_equal(result.params.data, snapshots[1])
 
     # a real run's returned params must reproduce best_rho exactly
     tcfg = trn.TrainConfig(batch_size=16, max_epochs=5, patience=5, seed=0)
-    result = trn.fit(train_set, val_set, cfg, tcfg)
-    rho, _ = trn.evaluate(result.params, result.norm, val_set)
+    result = trn.fit(train_set, val_set, norm, cfg, tcfg)
+    rho, _ = trn.evaluate(result.params, norm, val_set)
     ok = ok and abs(rho - result.best_rho) < 1e-12
     report("early stopping returns the max-rho checkpoint", ok)

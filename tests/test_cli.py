@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -293,6 +294,29 @@ def test_predict_deterministic(workspace, capsys):
     assert out1 == out2
 
 
+def test_predict_holds_one_grid_at_a_time(tmp_path, capsys):
+    manifest, _ = dat.synth_dataset(40, tmp_path, seed=0, w=14, h=14, d=64)
+    cfg = mdl.ModelConfig(w=14, h=14, d=64, b=8, fm_hidden=8)
+    checkpoint = str(tmp_path / "checkpoint.amwt")
+    mdl.save_checkpoint(checkpoint, mdl.init_params(cfg), norm={"mean": 0.5, "half_range": 0.5})
+    ids = [r.id for r in manifest.records]
+
+    def predict_peak(ids):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, ["predict", "--checkpoint", checkpoint,
+                                        "--manifest", str(tmp_path / "manifest.json"), *ids])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and out.count("\n") == len(ids)
+        return peak
+
+    predict_peak(ids[:2])  # warm-up
+    grid_bytes = cfg.num_locations * cfg.d * 8
+    assert predict_peak(ids) - predict_peak(ids[:2]) < grid_bytes
+
+
 def test_predict_unknown_id(workspace, capsys):
     code, _, err = run(capsys, ["predict", "--checkpoint", workspace["checkpoint"],
                                 "--manifest", workspace["manifest"], "nope"])
@@ -490,6 +514,9 @@ def test_removed_flags_are_usage_errors(workspace, tmp_path, monkeypatch, capsys
     ("model", {"seed": 0}, "'seed'"),
     ("model", {"attention_enabled": True}, "'attention_enabled'"),
     ("train", {"seed": 0}, "'seed'"),
+    # a JSON integer beyond the float range is not finite either
+    ("train", {"learning_rate": 10 ** 400}, "learning_rate"),
+    ("train", {"penalty_weight": 10 ** 400}, "penalty_weight"),
 ])
 def test_bad_config_value_is_usage_error(workspace, tmp_path, capsys, feature_reads,
                                          section, block, field):
@@ -645,6 +672,8 @@ MANIFEST_FAULTS = {
         {**payload, "records": payload["records"] + payload["records"][:1]}),
     "train scores all equal": lambda payload: json.dumps({**payload, "records": [
         {**r, "score": 0.5} if r["split"] == "train" else r for r in payload["records"]]}),
+    "val scores all equal": lambda payload: json.dumps({**payload, "records": [
+        {**r, "score": 0.5} if r["split"] == "val" else r for r in payload["records"]]}),
     "train record without score": lambda payload: json.dumps({**payload, "records": [
         {k: v for k, v in payload["records"][0].items() if k != "score"},
         *payload["records"][1:]]}),
@@ -655,7 +684,7 @@ MANIFEST_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
-def test_bad_manifest_is_io_error(workspace, tmp_path, capsys, fault):
+def test_bad_manifest_is_io_error(workspace, tmp_path, capsys, feature_reads, fault):
     with open(workspace["manifest"]) as f:
         payload = json.load(f)
     data_dir = os.path.dirname(workspace["manifest"])
@@ -666,13 +695,8 @@ def test_bad_manifest_is_io_error(workspace, tmp_path, capsys, fault):
     code, _, err = run(capsys, ["train", "--manifest", str(manifest),
                                 "--out", str(tmp_path / "run")])
     assert code == EXIT_IO
-    assert err.startswith("error:") and err.count("\n") == 1
-    # equal train scores fail in fit, after --out is made, and write nothing there;
-    # every other fault names the manifest and fails before --out is made
-    made = fault == "train scores all equal"
-    assert made or str(manifest) in err
-    assert (tmp_path / "run").exists() == made
-    assert not made or not any((tmp_path / "run").iterdir())
+    assert err.startswith(f"error: {manifest}") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists() and feature_reads == []
 
 
 def check_non_finite_feature_is_io_error(tmp_path, capsys, split, index):

@@ -391,7 +391,12 @@ def test_train_epoch_empty_set_rejected():
 
 # --- fit and early stopping -------------------------------------------------
 
-def injected_fit(rho_sequence, tmp_path, patience, max_epochs=None):
+def train_norm(train_set):
+    return trn.ScoreNorm.from_scores(r.score for r in train_set)
+
+
+def injected_fit(rho_sequence, tmp_path, monkeypatch, patience, max_epochs=None):
+    """fit on a tiny set whose validation passes return the scripted rhos."""
     records = tiny_dataset(tmp_path, n=12)
     train_set = records[:8]
     val_set = records[8:]
@@ -400,36 +405,38 @@ def injected_fit(rho_sequence, tmp_path, patience, max_epochs=None):
                            max_epochs=max_epochs or len(rho_sequence), seed=0)
     calls = {"n": 0}
 
-    def eval_fn(params):
+    def scripted_evaluate(params, norm, records):
+        assert records is val_set
         rho = rho_sequence[calls["n"]]
         calls["n"] += 1
         return rho, 0.0
 
-    return trn.fit(train_set, val_set, cfg, tcfg, eval_fn=eval_fn)
+    monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
+    return trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg)
 
 
-def test_early_stopping_patience_one(tmp_path):
-    result = injected_fit([0.2, 0.5, 0.4], tmp_path, patience=1)
+def test_early_stopping_patience_one(tmp_path, monkeypatch):
+    result = injected_fit([0.2, 0.5, 0.4], tmp_path, monkeypatch, patience=1)
     assert result.best_epoch == 2
     assert result.best_rho == 0.5
     assert len(result.epochs) == 3
     assert result.stop_reason == "patience"
 
 
-def test_single_epoch_not_early_stopped(tmp_path):
-    result = injected_fit([0.3], tmp_path, patience=1, max_epochs=1)
+def test_single_epoch_not_early_stopped(tmp_path, monkeypatch):
+    result = injected_fit([0.3], tmp_path, monkeypatch, patience=1, max_epochs=1)
     assert len(result.epochs) == 1
     assert result.stop_reason != "patience"
 
 
-def test_monotone_improvement_runs_to_max_epochs(tmp_path):
-    result = injected_fit([0.1, 0.2, 0.3, 0.4], tmp_path, patience=2)
+def test_monotone_improvement_runs_to_max_epochs(tmp_path, monkeypatch):
+    result = injected_fit([0.1, 0.2, 0.3, 0.4], tmp_path, monkeypatch, patience=2)
     assert result.best_epoch == 4
     assert result.stop_reason != "patience"
 
 
-def test_best_rho_is_max_of_recorded(tmp_path):
-    result = injected_fit([0.3, 0.6, 0.1, 0.2], tmp_path, patience=2)
+def test_best_rho_is_max_of_recorded(tmp_path, monkeypatch):
+    result = injected_fit([0.3, 0.6, 0.1, 0.2], tmp_path, monkeypatch, patience=2)
     assert result.best_rho == max(e["val_rho"] for e in result.epochs)
 
 
@@ -439,8 +446,8 @@ def test_fit_deterministic_report(tmp_path):
     val_set = dat.load_split(manifest, tmp_path / "manifest.json", "val")
     cfg = tiny_config()
     tcfg = trn.TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=1)
-    a = trn.fit(train_set, val_set, cfg, tcfg)
-    b = trn.fit(train_set, val_set, cfg, tcfg)
+    a = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg)
+    b = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg)
     report = ("epochs", "best_epoch", "best_rho", "stop_reason")
     assert [getattr(a, k) for k in report] == [getattr(b, k) for k in report]
 
@@ -452,14 +459,14 @@ def test_loss_decreases_smoothly_without_attention(tmp_path):
     cfg = tiny_config(attention_enabled=False)
     tcfg = trn.TrainConfig(learning_rate=1e-4, penalty_weight=0.0, batch_size=8,
                            max_epochs=10, patience=10, seed=0)
-    result = trn.fit(train_set, val_set, cfg, tcfg)
+    result = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg)
     losses = [e["train_loss"] for e in result.epochs]
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev * 1.10
 
 
-def test_undefined_rho_is_no_improvement_and_written_as_null(tmp_path):
-    report = injected_fit([0.2, None, 0.4, None, None], tmp_path, patience=2)
+def test_undefined_rho_is_no_improvement_and_written_as_null(tmp_path, monkeypatch):
+    report = injected_fit([0.2, None, 0.4, None, None], tmp_path, monkeypatch, patience=2)
     assert report.best_epoch == 3 and report.best_rho == 0.4
     assert report.stop_reason == "patience"
     path = tmp_path / "report.jsonl"
@@ -469,10 +476,10 @@ def test_undefined_rho_is_no_improvement_and_written_as_null(tmp_path):
     assert "null" in path.read_text() and "NaN" not in path.read_text()
 
 
-def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path):
+def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path, monkeypatch):
     snapshots = []
 
-    def eval_fn(params):
+    def scripted_evaluate(params, norm, records):
         snapshots.append(params.data.copy())
         if len(snapshots) == 3:
             raise ag.NonFiniteError("predict: non-finite score nan")
@@ -480,36 +487,38 @@ def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path):
 
     records = tiny_dataset(tmp_path, n=12)
     tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
-    result = trn.fit(records[:8], records[8:], tiny_config(), tcfg, eval_fn=eval_fn)
+    monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
+    result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg)
     assert [e["epoch"] for e in result.epochs] == [1, 2]
     assert result.best_epoch == 2 and result.stop_reason != "patience"
     assert result.stop_reason == "epoch 3: predict: non-finite score nan"
     np.testing.assert_array_equal(result.params.data, snapshots[1])
 
 
-def test_fit_keeps_the_best_epoch_across_later_improvements(tmp_path):
+def test_fit_keeps_the_best_epoch_across_later_improvements(tmp_path, monkeypatch):
     snapshots = []
 
-    def eval_fn(params):
+    def scripted_evaluate(params, norm, records):
         snapshots.append(params.data.copy())
         return [0.2, 0.5, 0.1, 0.6, 0.3][len(snapshots) - 1], 0.0
 
     records = tiny_dataset(tmp_path, n=12)
     tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
-    result = trn.fit(records[:8], records[8:], tiny_config(), tcfg, eval_fn=eval_fn)
+    monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
+    result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg)
     assert result.best_epoch == 4
     # epoch 5 moved the params after the kept copy was last written
     assert not np.array_equal(snapshots[4], snapshots[3])
     np.testing.assert_array_equal(result.params.data, snapshots[3])
 
 
-def test_no_defined_rho_raises(tmp_path):
+def test_no_defined_rho_raises(tmp_path, monkeypatch):
     with pytest.raises(trn.NoValidEpochError, match="patience"):
-        injected_fit([None, None], tmp_path, patience=2)
+        injected_fit([None, None], tmp_path, monkeypatch, patience=2)
 
 
-def test_report_jsonl_schema(tmp_path):
-    result = injected_fit([0.1, 0.2], tmp_path, patience=2)
+def test_report_jsonl_schema(tmp_path, monkeypatch):
+    result = injected_fit([0.1, 0.2], tmp_path, monkeypatch, patience=2)
     path = tmp_path / "report.jsonl"
     result.to_jsonl(path)
     lines = path.read_text().strip().split("\n")
