@@ -40,7 +40,8 @@ class Tensor:
 
 
 class Param:
-    """A named float64 array and the grad buffer that backward adds into."""
+    """A named array and the grad buffer that backward adds into; a float32
+    eval-mode copy of the weights has no grad."""
 
     __slots__ = ("name", "data", "grad")
 
@@ -79,8 +80,9 @@ def tanh(a: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
-    # one reduction rules out NaN, inf and an overflow of exp(-a)
-    if np.abs(a).max() < 700.0:
+    # one reduction rules out NaN, inf and an overflow of exp(-a), which
+    # comes near 709.8 in float64 and near 88.7 in float32
+    if np.abs(a).max() < (80.0 if a.dtype == np.float32 else 700.0):
         return 1.0 / (1.0 + np.exp(-a))
     _require_finite(a, "sigmoid")
     with np.errstate(over="ignore"):  # exp(-a) = inf gives the exact limit y = 0

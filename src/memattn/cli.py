@@ -78,7 +78,7 @@ def _load_manifest(path, config=None):
 
 
 def _features_by_id(manifest_path, config, ids):
-    """An iterator over the float64 (L, D) features of ids, each read when reached into
+    """An iterator over the float32 (L, D) features of ids, each read when reached into
     one reused (1, L, D) array; every id is checked first, an unknown id is an IO error."""
     manifest = _load_manifest(manifest_path, config)
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
@@ -87,7 +87,7 @@ def _features_by_id(manifest_path, config, ids):
         if sample_id not in by_id:
             raise CliError(f"unknown id {sample_id!r}", EXIT_IO)
     records = [dat.feature_record(manifest, manifest_dir, by_id[i]) for i in ids]
-    grid = np.empty((1, config.num_locations, config.d))
+    grid = np.empty((1, config.num_locations, config.d), np.float32)
     return (dat.read_features([r], grid)[0] for r in records)
 
 
@@ -144,6 +144,8 @@ def cmd_eval(args) -> int:
         if len(records) < 2:
             raise CliError(f"{path}: split {args.split!r} needs 2 or more records, "
                            f"has {len(records)}")
+        if len({r.score for r in records}) == 1:
+            raise CliError(f"{path}: all {args.split} scores identical, rho undefined", EXIT_IO)
     results = []
     for path, records in splits:
         rho, mse = trn.evaluate(params, norm, records)

@@ -196,9 +196,10 @@ def load_split(manifest: Manifest, manifest_path, split: str) -> list[FeatureRec
 
 def read_features(records: list[FeatureRecord], out: np.ndarray) -> np.ndarray:
     """Read each record's file through load_feature_file into the next row of
-    out, a float64 (N, L, D) array of at least len(records) rows, widening it
-    exactly; returns the filled rows. A file whose dims disagree with its
-    record's grid raises FeatureFormatError."""
+    out, an (N, L, D) array of at least len(records) rows, in out's dtype (a
+    float64 out widens the float32 values exactly); returns the filled rows.
+    A file whose dims disagree with its record's grid raises
+    FeatureFormatError."""
     x = out[:len(records)]
     for row, r in zip(x, records, strict=True):
         w, h, d, features = load_feature_file(r.path)

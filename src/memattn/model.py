@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import autograd as ag
-from .autograd import DimensionError, Param
+from .autograd import DimensionError, NonFiniteError, Param
 from .data import atomic_open
 
 CHECKPOINT_MAGIC = b"AMWT"
@@ -89,19 +89,22 @@ class ModelParams:
     data and grad are two float64 vectors of every weight in the order of
     _param_shapes(config); each Param's data and grad are views of its
     slice of them, so an element-wise update of all weights is one array
-    operation.
+    operation. Given data, the instance views that vector instead and has
+    no grad: float32() builds its eval-mode twin this way.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, data: np.ndarray | None = None):
         self.config = config
         shapes = _param_shapes(config)
-        self.data = np.zeros(sum(math.prod(shape) for _, shape in shapes))
-        self.grad = np.zeros(self.data.size)
+        size = sum(math.prod(shape) for _, shape in shapes)
+        self.data = np.zeros(size) if data is None else data
+        self.grad = np.zeros(size) if data is None else None
+        self._float32 = None
         self._params, start = {}, 0
         for name, shape in shapes:
             end = start + math.prod(shape)
-            self._params[name] = Param(name, self.data[start:end].reshape(shape),
-                                       self.grad[start:end].reshape(shape))
+            grad = None if self.grad is None else self.grad[start:end].reshape(shape)
+            self._params[name] = Param(name, self.data[start:end].reshape(shape), grad)
             start = end
 
     def __getitem__(self, name: str) -> Param:
@@ -109,6 +112,25 @@ class ModelParams:
 
     def params(self) -> list[Param]:
         return list(self._params.values())
+
+    def float32(self) -> ModelParams:
+        """A float32 copy of these weights for eval-mode passes, cast on first
+        use and kept until drop_float32(), which train_epoch (for its Adam
+        steps) and fit (for its copy-back of the best epoch) call as they
+        change data. NonFiniteError names the first parameter with a value
+        beyond the float32 range."""
+        if self._float32 is None:
+            with np.errstate(over="ignore"):  # an overflow gives inf, named below
+                twin = ModelParams(self.config, self.data.astype(np.float32))
+            if not np.isfinite(twin.data).all():
+                name = next(p.name for p in twin.params() if not np.isfinite(p.data).all())
+                raise NonFiniteError(f"parameter {name} has values beyond the float32 range")
+            self._float32 = twin
+        return self._float32
+
+    def drop_float32(self) -> None:
+        """Forget the float32 copy after data has changed."""
+        self._float32 = None
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -155,8 +177,10 @@ class ForwardTrace:
         return self.y.item()
 
 
-def _features(x, cfg: ModelConfig) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _features(x, params: ModelParams) -> np.ndarray:
+    """x as an (N, L, D) array of the weights' dtype."""
+    cfg = params.config
+    x = np.asarray(x, dtype=params.data.dtype)
     if x.ndim != 3 or x.shape[1:] != (cfg.num_locations, cfg.d):
         raise DimensionError(
             f"features shape {x.shape}, expected (N, {cfg.num_locations}, {cfg.d})"
@@ -173,7 +197,7 @@ def _affine(x: np.ndarray, w: Param, b: Param) -> np.ndarray:
 
 def init_state(x, params: ModelParams):
     """(h0, c0), each (N, B), from the mean location vector of each sample."""
-    xbar = _features(x, params.config).mean(axis=1)
+    xbar = _features(x, params).mean(axis=1)
     h0 = ag.tanh(_affine(xbar, params["init_h_W"], params["init_h_b"]))
     c0 = ag.tanh(_affine(xbar, params["init_c_W"], params["init_c_b"]))
     return h0, c0
@@ -183,16 +207,17 @@ def attention_keys(x, params: ModelParams) -> np.ndarray | None:
     """(N*L, D) keys whose row n*L + i is K x_{n,i}; None when attention is disabled."""
     if not params.config.attention_enabled:
         return None
-    flat = _features(x, params.config).reshape(-1, params.config.d)
+    flat = _features(x, params).reshape(-1, params.config.d)
     return ag.matmul(flat, params["att_K"].data.T)
 
 
 def attention_scores(keys, h_prev: np.ndarray, params: ModelParams, out=None):
     """(N, L) logits from attention_keys and the (N, L, D) tanh terms they
     weight, formed in out if it is given (the keys' own array included);
-    all-ones logits and None when attention is disabled."""
+    all-ones logits and None when attention is disabled. The logits take
+    the weights' dtype."""
     if keys is None:
-        return np.ones((len(h_prev), params.config.num_locations)), None
+        return np.ones((len(h_prev), params.config.num_locations), params.data.dtype), None
     # U h_prev + b is shared by all locations of a sample
     shared = _affine(h_prev, params["att_U"], params["att_b"])
     th = np.add(keys.reshape(len(shared), -1, shared.shape[1]), shared[:, None, :], out=out)
@@ -238,14 +263,16 @@ def _dropout_mask(shape, rate: float, rng, training: bool):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def tanh_slots(n: int, config: ModelConfig, training: bool) -> np.ndarray | None:
-    """Slots for the (n, L, D) tanh terms of every step but the last, whose
-    terms are formed in the keys: T - 1 for a training pass, which keeps them
-    all, and at most one for an eval pass; None when attention is disabled."""
+def tanh_slots(n: int, params: ModelParams, training: bool) -> np.ndarray | None:
+    """Slots, of the weights' dtype, for the (n, L, D) tanh terms of every
+    step but the last, whose terms are formed in the keys: T - 1 for a
+    training pass, which keeps them all, and at most one for an eval pass;
+    None when attention is disabled."""
+    config = params.config
     if not config.attention_enabled:
         return None
     count = config.t - 1 if training else min(1, config.t - 1)
-    return np.empty((count, n, config.num_locations, config.d))
+    return np.empty((count, n, config.num_locations, config.d), params.data.dtype)
 
 
 def forward(x, params: ModelParams, training: bool = False, rng=None, slots=None) -> ForwardTrace:
@@ -253,11 +280,12 @@ def forward(x, params: ModelParams, training: bool = False, rng=None, slots=None
     draws dropout masks from rng and keeps the per-step intermediates that
     backward reads; an eval pass keeps none. The tanh terms go into slots
     from tanh_slots for at least N samples (fresh if none are given), which
-    a caller may reuse once it is done with the pass."""
+    a caller may reuse once it is done with the pass. The pass runs in the
+    weights' dtype; its maps alpha and scores m and y are float64 either way."""
     cfg = params.config
-    x = _features(x, cfg)
+    x = _features(x, params)
     if slots is None:
-        slots = tanh_slots(len(x), cfg, training)
+        slots = tanh_slots(len(x), params, training)
     h, c = init_state(x, params)
     keys = attention_keys(x, params)
     alphas, ms, steps = [], [], []
@@ -266,8 +294,9 @@ def forward(x, params: ModelParams, training: bool = False, rng=None, slots=None
         if keys is not None:  # the last step reads the keys for the last time
             out = keys.reshape(x.shape) if t == cfg.t - 1 else slots[t if training else 0, :len(x)]
         e, th = attention_scores(keys, h, params, out)
-        alpha = ag.softmax_vec(e)
-        z = attend(x, alpha)
+        # the maps, like the scores, are float64 in a float32 pass too
+        alpha = ag.softmax_vec(e.astype(np.float64, copy=False))
+        z = attend(x, alpha.astype(x.dtype, copy=False))
         # the context's mask is drawn before the hidden layer's
         z_mask = _dropout_mask(z.shape, cfg.dropout_z, rng, training)
         h_mask = _dropout_mask((len(z), cfg.fm_hidden), cfg.dropout_rate, rng, training)
@@ -279,7 +308,7 @@ def forward(x, params: ModelParams, training: bool = False, rng=None, slots=None
             steps.append(_Step(h, c, th, z, z_mask, gates, c_next, h_next, hidden, h_mask))
         h, c = h_next, c_next
         alphas.append(alpha)
-        ms.append(m)
+        ms.append(m.astype(np.float64, copy=False))
     return ForwardTrace(alpha=alphas, m=ms, y=sum(ms[1:], ms[0]), x=x, steps=steps)
 
 

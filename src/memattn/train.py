@@ -3,7 +3,9 @@
 Scores are trained in a normalized [-1, 1] space; normalization stats are
 frozen from the training split. Early stopping tracks validation rank
 correlation and returns the checkpoint from the best epoch. Training,
-evaluation and prediction all run the batched forward pass of model.py.
+evaluation and prediction all run the batched forward pass of model.py:
+training in float64, evaluation and prediction in float32 from the
+weights' cached float32 copy.
 """
 from __future__ import annotations
 
@@ -21,12 +23,13 @@ from .metrics import mse as mse_metric
 
 # A batched pass has BUDGET // (L*D) samples, at least 1 and at most
 # MAX_PASS. Memory grows with N*L*D, not with the split: train_epoch and
-# evaluate read each pass's files into one float64 (N, L, D) batch array and
-# reuse one set of tanh slots. A train pass holds T + 1 such arrays (the
-# batch, T - 1 slots and the keys, which take the last step's tanh terms),
-# an eval pass 3. BUDGET gives 4 samples at 14x14x256, where larger weight
-# products pay; MAX_PASS caps the 7x7x32 ablation shape at 32, as larger
-# passes there run no faster and hold more.
+# evaluate read each pass's files into one (N, L, D) batch array, float64
+# for training and float32 for evaluation, and reuse one set of tanh slots.
+# A train pass holds T + 1 such arrays (the batch, T - 1 slots and the keys,
+# which take the last step's tanh terms), an eval pass 3. BUDGET gives 4
+# samples at 14x14x256, where larger weight products pay; MAX_PASS caps the
+# 7x7x32 ablation shape at 32, as larger passes there run no faster and hold
+# more.
 BUDGET = 4 * 14 * 14 * 256
 MAX_PASS = 32
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -182,10 +185,11 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
         raise ValueError("train_epoch: empty training set")
     n = len(train_set)
     order = rng.permutation(n)
+    params.drop_float32()  # its adam_steps change the weights
     cfg = params.config
     step = _sub_batch(cfg)
     batch_x = np.empty((step, cfg.num_locations, cfg.d))
-    slots = mdl.tanh_slots(step, cfg, training=True)
+    slots = mdl.tanh_slots(step, params, training=True)
     total_loss = 0.0
     for start in range(0, n, train_cfg.batch_size):
         batch = order[start : start + train_cfg.batch_size]
@@ -199,9 +203,10 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
 
 
 def _scores(params: mdl.ModelParams, norm: ScoreNorm, x, slots=None):
-    """Eval-mode pass over the (N, L, D) batch x: (clamped denormalized
-    scores, raw trace without steps, so no backward). As in fit, overflows
-    are left to the finiteness checks, so numpy prints no warnings."""
+    """Eval-mode pass over the (N, L, D) batch x in the dtype of params:
+    (clamped denormalized scores, raw trace without steps, so no backward).
+    As in fit, overflows are left to the finiteness checks, so numpy prints
+    no warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         trace = mdl.forward(x, params, slots=slots)
         y = norm.denormalize(trace.y)
@@ -212,21 +217,23 @@ def _scores(params: mdl.ModelParams, norm: ScoreNorm, x, slots=None):
 
 
 def predict(params: mdl.ModelParams, norm: ScoreNorm, features):
-    """Eval-mode prediction for one (L, D) grid: (clamped denormalized y, raw trace)."""
-    y, trace = _scores(params, norm, np.asarray(features)[None])
+    """Eval-mode prediction for one (L, D) grid, run in float32 from the
+    cached params.float32(): (clamped denormalized y, raw trace)."""
+    y, trace = _scores(params.float32(), norm, np.asarray(features)[None])
     return float(y[0]), trace
 
 
 def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
-    """(rho, mse) of the denormalized, clamped predictions, from eval
-    passes of _sub_batch samples in one batch array; rho is None when the
-    predictions or the scores are constant, which leaves it undefined."""
-    cfg = params.config
+    """(rho, mse) of the denormalized, clamped predictions, from float32
+    eval passes of _sub_batch samples in one batch array, run from the
+    cached params.float32(); rho is None when the predictions or the scores
+    are constant, which leaves it undefined."""
+    cfg, twin = params.config, params.float32()
     step = _sub_batch(cfg)
-    batch = np.empty((step, cfg.num_locations, cfg.d))
-    slots = mdl.tanh_slots(step, cfg, training=False)
+    batch = np.empty((step, cfg.num_locations, cfg.d), np.float32)
+    slots = mdl.tanh_slots(step, twin, training=False)
     preds = np.concatenate([
-        _scores(params, norm, read_features(records[i : i + step], batch), slots)[0]
+        _scores(twin, norm, read_features(records[i : i + step], batch), slots)[0]
         for i in range(0, len(records), step)
     ])
     truths = [r.score for r in records]
@@ -294,4 +301,5 @@ def fit(train_set, val_set, norm: ScoreNorm, model_cfg: mdl.ModelConfig,
         raise NoValidEpochError(
             f"fit: no epoch had a defined validation rho (stopped: {result.stop_reason})")
     params.data[...] = best_values
+    params.drop_float32()
     return result

@@ -244,6 +244,24 @@ def test_eval_checks_every_manifest_before_its_first_pass(workspace, tmp_path, c
     assert repr(unscored["id"]) in err and "no score" in err
 
 
+def test_eval_constant_scores_exit_before_the_first_pass(workspace, tmp_path, capsys,
+                                                        feature_reads):
+    with open(workspace["manifest"]) as f:
+        payload = json.load(f)
+    data_dir = os.path.dirname(workspace["manifest"])
+    for r in payload["records"]:
+        r["path"] = os.path.join(data_dir, r["path"])
+        if r["split"] == "test":
+            r["score"] = 0.5
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["eval", "--checkpoint", workspace["checkpoint"],
+                                  "--manifest", str(flat)])
+    assert code == EXIT_IO and out == ""
+    assert err.startswith(f"error: {flat}: ") and err.count("\n") == 1
+    assert "identical" in err and feature_reads == []
+
+
 def test_eval_missing_checkpoint(workspace, capsys):
     code, _, err = run(capsys, ["eval", "--checkpoint", "/nonexistent.amwt",
                                 "--manifest", workspace["manifest"]])
@@ -270,7 +288,8 @@ def test_predict_output_and_contribution_sum(workspace, capsys):
         assert len(contributions) == params.config.t
         record = next(r for r in manifest.records if r.id == sample_id)
         features = dat.load_feature_file(os.path.join(manifest_dir, record.path))[3]
-        trace = mdl.forward(features[None], params)
+        # predict runs in float32 from the weights' cached float32 copy
+        trace = mdl.forward(features[None], params.float32())
         unclamped = norm.denormalize(trace.y_value())
         assert abs(sum(contributions) - unclamped) < 1e-9
         assert y == pytest.approx(min(1.0, max(0.0, unclamped)), abs=1e-6)
@@ -647,6 +666,26 @@ def test_huge_finite_weights_exit_cleanly_without_warnings(workspace, tmp_path, 
     else:
         assert code == EXIT_VERIFY
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["predict", "synth00000"], ["attmap", "--out", "maps", "--id", "synth00000"],
+])
+def test_weights_beyond_the_float32_range_exit_3_naming_the_parameter(
+        workspace, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    params, norm = mdl.load_checkpoint(workspace["checkpoint"])
+    params["lstm_Wo"].data[1, 1] = 1e39  # finite in float64, beyond float32's 3.4e38
+    wide = tmp_path / "wide.amwt"
+    mdl.save_checkpoint(wide, params, norm=norm)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command[:1] + [
+            "--checkpoint", str(wide), "--manifest", workspace["manifest"]] + command[1:])
+    assert not caught, [str(w.message) for w in caught]
+    assert code == EXIT_VERIFY and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "lstm_Wo" in err
+    assert not (tmp_path / "maps").exists()
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])

@@ -78,6 +78,26 @@ def test_writes_through_the_vector_show_in_each_param():
         params.grad, np.concatenate([p.grad.ravel() for p in params.params()]))
 
 
+def test_float32_copy_is_cast_once_and_kept_until_dropped():
+    params = mdl.init_params(tiny_config())
+    twin = params.float32()
+    assert twin.data.dtype == np.float32 and twin.grad is None
+    np.testing.assert_array_equal(twin.data, params.data.astype(np.float32))
+    for p in twin.params():
+        assert np.shares_memory(p.data, twin.data) and p.grad is None
+        np.testing.assert_array_equal(p.data, params[p.name].data.astype(np.float32))
+    assert params.float32() is twin
+    params.drop_float32()
+    assert params.float32() is not twin
+
+
+def test_float32_copy_names_a_parameter_beyond_the_float32_range():
+    params = mdl.init_params(tiny_config())
+    params["lstm_Wf"].data[1, 2] = -1e39
+    with pytest.raises(ag.NonFiniteError, match="lstm_Wf"):
+        params.float32()
+
+
 def test_init_params_zero_biases():
     params = mdl.init_params(tiny_config())
     for name in ("att_b", "init_h_b", "init_c_b", "lstm_bi", "lstm_bf",
