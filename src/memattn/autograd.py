@@ -41,7 +41,7 @@ class Tensor:
 
 class Param:
     """A named array and the grad buffer that backward adds into; a float32
-    eval-mode copy of the weights has no grad."""
+    copy of the weights shares its master's float64 grad buffer."""
 
     __slots__ = ("name", "data", "grad")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -272,7 +273,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process; main finds each command's cmd_
+    function by name when it runs it."""
     parser = _Parser(prog="memattn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,31 +287,26 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--no-attention", action="store_true",
                    help="replace attention with a uniform average")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report rank correlation and MSE")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", nargs="+", required=True,
                    help="one manifest, or several to report the mean")
     p.add_argument("--split", default="test", choices=dat.SPLITS)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="score individual samples")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("ids", nargs="+")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("attmap", help="export attention heatmaps for one sample")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--id", required=True)
-    p.set_defaults(func=cmd_attmap)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
@@ -317,15 +316,15 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=int, default=7)
     p.add_argument("--d", type=int, default=32)
     p.add_argument("--noise", type=float, default=0.02)
-    p.set_defaults(func=cmd_synth)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # looked up on each call, so a cmd_ function replaced on this module
+        # after the parser was built (a tracing wrapper, say) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -15,6 +15,7 @@ from __future__ import annotations
 import collections
 import json
 import math
+import os
 import struct
 import sys
 import typing
@@ -89,22 +90,25 @@ class ModelParams:
     data and grad are two float64 vectors of every weight in the order of
     _param_shapes(config); each Param's data and grad are views of its
     slice of them, so an element-wise update of all weights is one array
-    operation. Given data, the instance views that vector instead and has
-    no grad: float32() builds its eval-mode twin this way.
+    operation. Given data and grad, the instance views those vectors
+    instead: float32() builds its copy this way, with float32 data and the
+    master's float64 grad, so a backward run on the copy adds into the
+    master's grads.
     """
 
-    def __init__(self, config: ModelConfig, data: np.ndarray | None = None):
+    def __init__(self, config: ModelConfig, data: np.ndarray | None = None,
+                 grad: np.ndarray | None = None):
         self.config = config
         shapes = _param_shapes(config)
         size = sum(math.prod(shape) for _, shape in shapes)
         self.data = np.zeros(size) if data is None else data
-        self.grad = np.zeros(size) if data is None else None
+        self.grad = np.zeros(size) if grad is None else grad
         self._float32 = None
         self._params, start = {}, 0
         for name, shape in shapes:
             end = start + math.prod(shape)
-            grad = None if self.grad is None else self.grad[start:end].reshape(shape)
-            self._params[name] = Param(name, self.data[start:end].reshape(shape), grad)
+            self._params[name] = Param(name, self.data[start:end].reshape(shape),
+                                       self.grad[start:end].reshape(shape))
             start = end
 
     def __getitem__(self, name: str) -> Param:
@@ -114,14 +118,15 @@ class ModelParams:
         return list(self._params.values())
 
     def float32(self) -> ModelParams:
-        """A float32 copy of these weights for eval-mode passes, cast on first
-        use and kept until drop_float32(), which train_epoch (for its Adam
-        steps) and fit (for its copy-back of the best epoch) call as they
-        change data. NonFiniteError names the first parameter with a value
-        beyond the float32 range."""
+        """A float32 copy of these weights for the passes of training and
+        evaluation, whose Params view this instance's float64 grads. It is
+        cast on first use and kept until drop_float32(), which train_epoch
+        (after each Adam step) and fit (for its copy-back of the best epoch)
+        call as they change data. NonFiniteError names the first parameter
+        with a value beyond the float32 range."""
         if self._float32 is None:
             with np.errstate(over="ignore"):  # an overflow gives inf, named below
-                twin = ModelParams(self.config, self.data.astype(np.float32))
+                twin = ModelParams(self.config, self.data.astype(np.float32), self.grad)
             if not np.isfinite(twin.data).all():
                 name = next(p.name for p in twin.params() if not np.isfinite(p.data).all())
                 raise NonFiniteError(f"parameter {name} has values beyond the float32 range")
@@ -256,11 +261,11 @@ def discrete_score(h: np.ndarray, params: ModelParams, mask=None):
     return ag.matvec(hidden, params["fm_w2"].data) + params["fm_b2"].data, hidden
 
 
-def _dropout_mask(shape, rate: float, rng, training: bool):
-    """Inverted-dropout mask; None in eval mode or at rate 0."""
+def _dropout_mask(shape, rate: float, rng, training: bool, dtype):
+    """Inverted-dropout mask of the pass's dtype; None in eval mode or at rate 0."""
     if not training or rate == 0.0:
         return None
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return ((rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype, copy=False)
 
 
 def tanh_slots(n: int, params: ModelParams, training: bool) -> np.ndarray | None:
@@ -298,8 +303,9 @@ def forward(x, params: ModelParams, training: bool = False, rng=None, slots=None
         alpha = ag.softmax_vec(e.astype(np.float64, copy=False))
         z = attend(x, alpha.astype(x.dtype, copy=False))
         # the context's mask is drawn before the hidden layer's
-        z_mask = _dropout_mask(z.shape, cfg.dropout_z, rng, training)
-        h_mask = _dropout_mask((len(z), cfg.fm_hidden), cfg.dropout_rate, rng, training)
+        z_mask = _dropout_mask(z.shape, cfg.dropout_z, rng, training, x.dtype)
+        h_mask = _dropout_mask((len(z), cfg.fm_hidden), cfg.dropout_rate, rng, training,
+                               x.dtype)
         if z_mask is not None:
             z = z * z_mask
         h_next, c_next, gates = lstm_step(z, h, c, params)
@@ -331,11 +337,13 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
     attention_penalty(trace.alpha). It consumes the trace: a second call
     finds no steps and raises ValueError before it writes a grad.
 
-    Rows of the stacked arrays are t*N + n: step t, sample n.
+    It runs in the pass's dtype, that of trace.x, and adds its products
+    into the grads, which a float32 copy of the weights shares with its
+    float64 master. Rows of the stacked arrays are t*N + n: step t, sample n.
     """
     steps, trace.steps, p = trace.steps, [], params
-    n, d, b = len(dy), params.config.d, params.config.b
-    dys = np.tile(dy, len(steps))  # each step's score adds to y
+    n, d, b, dtype = len(dy), params.config.d, params.config.b, trace.x.dtype
+    dys = np.tile(dy.astype(dtype, copy=False), len(steps))  # each step's score adds to y
 
     # regression head, all steps at once
     hidden = np.concatenate([s.hidden for s in steps])
@@ -350,14 +358,14 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
     dh_head = d_pre @ p["fm_w1"].data.T
 
     # the steps in reverse; d_gates[k] holds gate k's pre-activation grads
-    d_gates = np.empty((4, len(dys), b))
+    d_gates = np.empty((4, len(dys), b), dtype)
     attention = steps[0].th is not None
     if attention:
         x, att_M, att_U = trace.x, p["att_M"].data, p["att_U"].data
-        d_shared, d_M = np.empty((len(dys), d)), np.zeros(att_M.shape)
+        d_shared, d_M = np.empty((len(dys), d), dtype), np.zeros(att_M.shape, dtype)
         d_keys = steps[-1].th  # processed first; the other steps' key grads add into it
-        d_cover = -2.0 * penalty_weight * _coverage_gap(trace.alpha)
-    dh, dc = np.zeros((n, b)), np.zeros((n, b))
+        d_cover = (-2.0 * penalty_weight * _coverage_gap(trace.alpha)).astype(dtype, copy=False)
+    dh, dc = np.zeros((n, b), dtype), np.zeros((n, b), dtype)
     for t in reversed(range(len(steps))):
         s, rows = steps[t], slice(t * n, (t + 1) * n)
         i, f, o, g = s.gates
@@ -376,7 +384,7 @@ def backward(trace: ForwardTrace, params: ModelParams, dy: np.ndarray,
             continue
         dz = d_zh[:, :d] if s.z_mask is None else d_zh[:, :d] * s.z_mask
         d_alpha = np.matmul(x, dz[:, :, None])[:, :, 0] + d_cover
-        alpha = trace.alpha[t]
+        alpha = trace.alpha[t].astype(dtype, copy=False)
         d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
         d_M += np.einsum("nl,nld->ld", d_e, s.th)
         np.multiply(s.th, s.th, out=s.th)  # the tanh terms become the key grads in place
@@ -489,34 +497,46 @@ def load_checkpoint(path):
 
     The file must hold exactly the bytes save_checkpoint writes for its
     stored config: the parameters of that config, in order, each behind its
-    _param_header, with finite values, and nothing after the last one.
+    _param_header, with finite values, and nothing after the last one. Its
+    size is checked against the config before the values are read, each
+    straight into its parameter's slice of params.data.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise CheckpointFormatError(f"{path}: truncated header, {len(blob)} of 12 bytes")
-    version, meta_len = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12 + meta_len
-    config, norm = _checkpoint_meta(path, blob[12:pos])
-    layout = [(name, shape, _param_header(name, shape)) for name, shape in _param_shapes(config)]
-    size = pos + sum(len(header) + 8 * math.prod(shape) for _, shape, header in layout)
-    if len(blob) != size:
-        state = "truncated" if len(blob) < size else "trailing bytes after the last parameter"
-        raise CheckpointFormatError(f"{path}: {state}: file has {len(blob)} bytes, its "
-                                    f"config needs {size}")
-    params = ModelParams(config)
-    for name, shape, header in layout:
-        if blob[pos:pos + len(header)] != header:
-            raise CheckpointFormatError(f"{path}: the header at offset {pos} is not that "
-                                        f"of parameter {name} with shape {shape}")
-        pos += len(header)
-        values = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=pos)
-        pos += values.nbytes
-        if not np.isfinite(values).all():
-            raise CheckpointFormatError(f"{path}: parameter {name} has non-finite values")
-        params[name].data[...] = values.reshape(shape)
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"{path}: bad checkpoint magic {head[:4]!r}")
+        if len(head) < 12:
+            raise CheckpointFormatError(f"{path}: truncated header, {len(head)} of 12 bytes")
+        version, meta_len = struct.unpack_from("<II", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
+        pos = 12 + meta_len
+        if pos > size:
+            raise CheckpointFormatError(f"{path}: truncated: file has {size} bytes, its "
+                                        f"meta block ends at {pos}")
+        config, norm = _checkpoint_meta(path, f.read(meta_len))
+        layout = [(name, shape, _param_header(name, shape))
+                  for name, shape in _param_shapes(config)]
+        expected = pos + sum(len(header) + 8 * math.prod(shape) for _, shape, header in layout)
+        if size != expected:
+            state = "truncated" if size < expected else "trailing bytes after the last parameter"
+            raise CheckpointFormatError(f"{path}: {state}: file has {size} bytes, its "
+                                        f"config needs {expected}")
+        params, start = ModelParams(config), 0
+        for name, shape, header in layout:
+            if f.read(len(header)) != header:
+                raise CheckpointFormatError(f"{path}: the header at offset {pos} is not that "
+                                            f"of parameter {name} with shape {shape}")
+            values = params.data[start:start + math.prod(shape)]
+            got = f.readinto(values)
+            if got != values.nbytes:
+                raise CheckpointFormatError(f"{path}: short read, {got} of {values.nbytes} "
+                                            f"bytes of parameter {name}")
+            pos, start = pos + len(header) + got, start + values.size
+    if sys.byteorder != "little":  # the file holds little-endian f64
+        params.data.byteswap(inplace=True)
+    if not np.isfinite(params.data).all():
+        name = next(p.name for p in params.params() if not np.isfinite(p.data).all())
+        raise CheckpointFormatError(f"{path}: parameter {name} has non-finite values")
     return params, norm

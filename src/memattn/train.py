@@ -3,9 +3,10 @@
 Scores are trained in a normalized [-1, 1] space; normalization stats are
 frozen from the training split. Early stopping tracks validation rank
 correlation and returns the checkpoint from the best epoch. Training,
-evaluation and prediction all run the batched forward pass of model.py:
-training in float64, evaluation and prediction in float32 from the
-weights' cached float32 copy.
+evaluation and prediction all run the batched forward pass of model.py in
+float32, from the weights' cached float32 copy; the weights, their grads,
+the loss values and Adam's moments stay float64 (mixed precision training,
+Micikevicius et al. 2018, arXiv:1710.03740).
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from .metrics import mse as mse_metric
 
 # A batched pass has BUDGET // (L*D) samples, at least 1 and at most
 # MAX_PASS. Memory grows with N*L*D, not with the split: train_epoch and
-# evaluate read each pass's files into one (N, L, D) batch array, float64
-# for training and float32 for evaluation, and reuse one set of tanh slots.
+# evaluate read each pass's files into one float32 (N, L, D) batch array
+# and reuse one set of tanh slots.
 # A train pass holds T + 1 such arrays (the batch, T - 1 slots and the keys,
 # which take the last step's tanh terms), an eval pass 3. BUDGET gives 4
 # samples at 14x14x256, where larger weight products pay; MAX_PASS caps the
@@ -176,29 +177,33 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
                 train_cfg: TrainConfig, norm: ScoreNorm, rng) -> float:
     """One shuffled pass in minibatches; grads averaged per batch.
 
-    Each minibatch runs as sub-batches of _sub_batch samples, one pass
-    and one backward each, all in one batch array and one set of slots.
+    Each minibatch runs as sub-batches of _sub_batch samples, one float32
+    pass and one backward each from params.float32(), all in one batch
+    array and one set of slots; the backwards add into the float64
+    params.grad, from which adam_step updates the float64 weights. Each
+    step drops the float32 copy, so it always matches params.data.
     Returns the mean per-sample loss over the epoch. A non-finite sub-batch
-    loss raises NonFiniteError before its backward runs.
+    loss, or a weight beyond the float32 range, raises NonFiniteError.
     """
     if not train_set:
         raise ValueError("train_epoch: empty training set")
     n = len(train_set)
     order = rng.permutation(n)
-    params.drop_float32()  # its adam_steps change the weights
     cfg = params.config
     step = _sub_batch(cfg)
-    batch_x = np.empty((step, cfg.num_locations, cfg.d))
-    slots = mdl.tanh_slots(step, params, training=True)
+    batch_x = np.empty((step, cfg.num_locations, cfg.d), np.float32)
+    slots = mdl.tanh_slots(step, params.float32(), training=True)
     total_loss = 0.0
     for start in range(0, n, train_cfg.batch_size):
         batch = order[start : start + train_cfg.batch_size]
+        twin = params.float32()  # cast once per minibatch
         params.grad[...] = 0.0
         for sub in range(0, len(batch), step):
             records = [train_set[int(i)] for i in batch[sub : sub + step]]
-            total_loss += _backward_pass(records, batch_x, slots, params, train_cfg, norm, rng)
+            total_loss += _backward_pass(records, batch_x, slots, twin, train_cfg, norm, rng)
         params.grad *= 1.0 / len(batch)
         adam_step(params, opt_state, train_cfg)
+        params.drop_float32()
     return total_loss / n
 
 

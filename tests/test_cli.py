@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memattn import cli
 from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
@@ -501,6 +502,14 @@ def test_cli_and_config_surface(workspace, tmp_path, monkeypatch, capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, ["train"])
     assert code == EXIT_USAGE
+
+
+def test_main_builds_one_parser_and_runs_the_module_s_command(monkeypatch, capsys):
+    parser = build_parser()
+    monkeypatch.setattr(cli, "cmd_gradcheck", lambda args: 7)
+    assert run(capsys, ["gradcheck", "--seed", "1"])[0] == 7
+    assert run(capsys, ["gradcheck", "--seed", "x"])[0] == EXIT_USAGE
+    assert build_parser() is parser
 
 
 @pytest.mark.parametrize("argv", [

@@ -81,10 +81,13 @@ def test_writes_through_the_vector_show_in_each_param():
 def test_float32_copy_is_cast_once_and_kept_until_dropped():
     params = mdl.init_params(tiny_config())
     twin = params.float32()
-    assert twin.data.dtype == np.float32 and twin.grad is None
+    # the copy's weights are float32; its grads are the master's float64 vector
+    assert twin.data.dtype == np.float32 and twin.grad is params.grad
     np.testing.assert_array_equal(twin.data, params.data.astype(np.float32))
     for p in twin.params():
-        assert np.shares_memory(p.data, twin.data) and p.grad is None
+        assert np.shares_memory(p.data, twin.data)
+        # the same float64 slice of the master's grad: address, shape, strides, dtype
+        assert p.grad.__array_interface__ == params[p.name].grad.__array_interface__
         np.testing.assert_array_equal(p.data, params[p.name].data.astype(np.float32))
     assert params.float32() is twin
     params.drop_float32()
@@ -680,6 +683,16 @@ def test_checkpoint_save_peak_memory(tmp_path):
         lambda: mdl.save_checkpoint(tmp_path / "model.amwt", params, norm=NORM))
     assert max(p.data.nbytes for p in params.params()) == 2 ** 20
     assert peak < 64 * 1024, peak
+
+
+def test_checkpoint_load_peak_memory(tmp_path):
+    # the values are read straight into params.data: the load holds the data
+    # and grad vectors and the finiteness check's bool mask, no copy of the file
+    params = mdl.ModelParams(tiny_config(w=14, h=14, d=256, b=256, fm_hidden=128))
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, params, norm=NORM)
+    peak, _, _ = traced_peak(lambda: mdl.load_checkpoint(path))
+    assert peak <= 2 * params.data.nbytes + params.data.size + 64 * 1024, peak
 
 
 def test_checkpoint_non_finite_weights_rejected(tmp_path):
