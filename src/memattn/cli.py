@@ -82,12 +82,11 @@ def _features_by_id(manifest_path, config, ids):
     """An iterator over the float32 (L, D) features of ids, each read when reached into
     one reused (1, L, D) array; every id is checked first, an unknown id is an IO error."""
     manifest = _load_manifest(manifest_path, config)
-    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     by_id = {r.id: r for r in manifest.records}
     for sample_id in ids:
         if sample_id not in by_id:
             raise CliError(f"unknown id {sample_id!r}", EXIT_IO)
-    records = [dat.feature_record(manifest, manifest_dir, by_id[i]) for i in ids]
+    records = dat.feature_records(manifest, manifest_path, [by_id[i] for i in ids])
     grid = np.empty((1, config.num_locations, config.d), np.float32)
     return (dat.read_features([r], grid)[0] for r in records)
 
@@ -119,6 +118,9 @@ def cmd_train(args) -> int:
     if len({r.score for r in val_set}) == 1:
         raise CliError(f"{args.manifest}: all val scores identical, rho undefined", EXIT_IO)
     os.makedirs(args.out, exist_ok=True)  # a bad --out fails before any training
+    # the model is built from the manifest's grid, so the first train file confirms it
+    first = train_set[0]
+    first.check_dims(dat.load_feature_file(first.path)[:3])
 
     result = trn.fit(train_set, val_set, norm, model_cfg, train_cfg)
     checkpoint_path = os.path.join(args.out, "checkpoint.amwt")

@@ -2,7 +2,10 @@
 
 Feature files are a small binary format (magic "AMFT"): header with the
 grid dimensions, then W*H*D little-endian float32 values, location-major.
-Manifests are JSON. The only image format is PGM (P5) output.
+load_feature_file is their one reader; read_features uses it to read each
+file straight into a row of the caller's float32 batch. Manifests are
+JSON, whose records are checked in one pass as they are built. The only
+image format is PGM (P5) output.
 """
 from __future__ import annotations
 
@@ -12,11 +15,13 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 FEATURE_MAGIC = b"AMFT"
 FEATURE_VERSION = 1
+_FEATURE_DTYPE = np.dtype("<f4")
 SPLITS = ("train", "val", "test")
 
 
@@ -28,15 +33,22 @@ class ManifestFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
+class FeatureRecord(NamedTuple):
+    """A record that names its feature file; a tuple, as load_split builds one per record."""
+
     id: str
     path: str  # its feature file, which read_features reads
     score: float | None
     grid: tuple[int, int, int]  # the manifest's (w, h, d), which the file must hold
 
+    def check_dims(self, dims) -> None:
+        """FeatureFormatError unless dims, the (w, h, d) its file holds, are the grid."""
+        if dims != self.grid:
+            raise FeatureFormatError(f"{self.path}: dims {'x'.join(map(str, dims))} disagree "
+                                     f"with manifest {'x'.join(map(str, self.grid))}")
 
-@dataclass
+
+@dataclass(slots=True)
 class ManifestRecord:
     id: str
     path: str
@@ -93,13 +105,18 @@ def write_feature_file(path, features: np.ndarray, w: int, h: int) -> None:
         f.write(header + features.astype("<f4").tobytes())
 
 
-def load_feature_file(path):
+def load_feature_file(path, out=None):
     """Returns (w, h, d, features) with the (W*H, D) features as stored,
     float32. The file's size is checked against its header before the
-    payload is read, with one unbuffered read, into the buffer that the
-    features view."""
-    with open(path, "rb", buffering=0) as f:
-        header = f.read(20)
+    payload is read, with one readv, straight into out (a float32 array of
+    W*H*D values, such as a batch row, which the features then view) or
+    into a fresh array when out is None. An out of another size is a
+    FeatureFormatError and receives no byte."""
+    if out is not None and out.dtype != _FEATURE_DTYPE:
+        raise TypeError(f"load_feature_file: out must be float32, got {out.dtype}")
+    fd = os.open(path, os.O_RDONLY)  # a bare descriptor opens in half the time of a file object
+    try:
+        header = os.read(fd, 20)
         if header[:4] != FEATURE_MAGIC:
             raise FeatureFormatError(f"{path}: bad magic {header[:4]!r}")
         if len(header) < 20:
@@ -107,18 +124,27 @@ def load_feature_file(path):
         version, w, h, d = struct.unpack_from("<IIII", header, 4)
         if version != FEATURE_VERSION:
             raise FeatureFormatError(f"{path}: unsupported version {version}")
-        expected, size = 20 + 4 * w * h * d, os.fstat(f.fileno()).st_size
+        expected, size = 20 + 4 * w * h * d, os.fstat(fd).st_size
         if size != expected:
             raise FeatureFormatError(
                 f"{path}: payload length mismatch, expected {expected} bytes, got {size}"
             )
-        values = np.empty(w * h * d, dtype="<f4")
-        got = f.readinto(values)
-    if got != values.nbytes:
-        raise FeatureFormatError(f"{path}: short read, {got} of {values.nbytes} payload bytes")
-    if not np.isfinite(values).all():
+        if out is None:
+            out = np.empty(w * h * d, _FEATURE_DTYPE)
+        elif out.size != w * h * d:
+            raise FeatureFormatError(f"{path}: dims {w}x{h}x{d} disagree with an output "
+                                     f"of {out.size} values")
+        got = os.readv(fd, [out])
+    except OSError as exc:  # as open() does, name the file (a directory fails to read)
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    if got != out.nbytes:
+        raise FeatureFormatError(f"{path}: short read, {got} of {out.nbytes} payload bytes")
+    if not np.isfinite(out).all():
         raise FeatureFormatError(f"{path}: non-finite feature value")
-    return w, h, d, values.reshape(w * h, d)
+    return w, h, d, out.reshape(w * h, d)
 
 
 def save_manifest(path, manifest: Manifest) -> None:
@@ -138,7 +164,9 @@ def save_manifest(path, manifest: Manifest) -> None:
 
 
 def _manifest_from_json(payload) -> Manifest:
-    """ValueError unless payload has exactly the shape save_manifest writes."""
+    """ValueError unless payload has exactly the shape save_manifest writes.
+    Each record is checked as it is built, the first fault of the first bad
+    record raising: its shape, then id, path and split, then score."""
     if not isinstance(payload, dict) or set(payload) != {"w", "h", "d", "records"}:
         raise ValueError("top level must be an object with keys w, h, d, records")
     for key in ("w", "h", "d"):
@@ -148,19 +176,20 @@ def _manifest_from_json(payload) -> Manifest:
         raise ValueError("records must be a list")
     records = []
     for i, r in enumerate(payload["records"]):
-        if not (isinstance(r, dict)
-                and {"id", "path", "split"} <= r.keys() <= {"id", "path", "score", "split"}):
+        # with id, path and split present, the size admits exactly an optional score
+        if not (isinstance(r, dict) and "id" in r and "path" in r and "split" in r
+                and len(r) == 4 - ("score" not in r)):
             raise ValueError(f"record {i} must be an object with keys id, path, split "
                              f"and an optional score")
-        for key in ("id", "path", "split"):
-            if type(r[key]) is not str or "\0" in r[key]:
-                raise ValueError(f"record {i}: {key} must be a string without NUL, "
-                                 f"got {r[key]!r}")
-        score = r.get("score")
-        if score is not None and type(score) not in (int, float):
+        rid, path, split, score = r["id"], r["path"], r["split"], r.get("score")
+        if not (type(rid) is type(path) is type(split) is str) or "\0" in rid + path + split:
+            key = next(k for k in ("id", "path", "split")
+                       if type(r[k]) is not str or "\0" in r[k])
+            raise ValueError(f"record {i}: {key} must be a string without NUL, "
+                             f"got {r[key]!r}")
+        if score is not None and type(score) is not float and type(score) is not int:
             raise ValueError(f"record {i}: score must be a number, got {score!r}")
-        records.append(ManifestRecord(id=r["id"], path=r["path"], score=score,
-                                      split=r["split"]))
+        records.append(ManifestRecord(rid, path, score, split))
     return Manifest(w=payload["w"], h=payload["h"], d=payload["d"], records=records)
 
 
@@ -176,37 +205,33 @@ def load_manifest(path) -> Manifest:
     return manifest
 
 
-def feature_record(manifest: Manifest, manifest_dir, record: ManifestRecord) -> FeatureRecord:
-    """The record naming its feature file under manifest_dir; reads nothing."""
-    return FeatureRecord(id=record.id, path=os.path.join(manifest_dir, record.path),
-                         score=record.score, grid=(manifest.w, manifest.h, manifest.d))
+def feature_records(manifest: Manifest, manifest_path, records) -> list[FeatureRecord]:
+    """The records, each naming its feature file relative to manifest_path's directory
+    and the manifest's grid; reads nothing."""
+    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
+    grid, join = (manifest.w, manifest.h, manifest.d), os.path.join
+    return [FeatureRecord(r.id, join(manifest_dir, r.path), r.score, grid) for r in records]
 
 
 def load_split(manifest: Manifest, manifest_path, split: str) -> list[FeatureRecord]:
     """The split's records, none of whose files is read here; training and evaluation need
-    every score. Errors name manifest_path, and record paths are relative to its directory."""
-    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
+    every score. Errors name manifest_path."""
     records = manifest.split_records(split)
     for r in records:
         if r.score is None:
             raise ManifestFormatError(f"{manifest_path}: record {r.id!r} in split {split!r} "
                                       f"has no score")
-    return [feature_record(manifest, manifest_dir, r) for r in records]
+    return feature_records(manifest, manifest_path, records)
 
 
 def read_features(records: list[FeatureRecord], out: np.ndarray) -> np.ndarray:
-    """Read each record's file through load_feature_file into the next row of
-    out, an (N, L, D) array of at least len(records) rows, in out's dtype (a
-    float64 out widens the float32 values exactly); returns the filled rows.
-    A file whose dims disagree with its record's grid raises
-    FeatureFormatError."""
+    """Read each record's file through load_feature_file straight into the
+    next row of out, a float32 (N, L, D) array of at least len(records)
+    rows; returns the filled rows. A file whose dims disagree with its
+    record's grid raises FeatureFormatError."""
     x = out[:len(records)]
     for row, r in zip(x, records, strict=True):
-        w, h, d, features = load_feature_file(r.path)
-        if (w, h, d) != r.grid:
-            raise FeatureFormatError(f"{r.path}: dims {w}x{h}x{d} disagree with manifest "
-                                     f"{'x'.join(map(str, r.grid))}")
-        row[...] = features
+        r.check_dims(load_feature_file(r.path, row)[:3])
     return x
 
 

@@ -34,9 +34,11 @@ from .metrics import mse as mse_metric
 BUDGET = 4 * 14 * 14 * 256
 MAX_PASS = 32
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# adam_step runs over slices of this many values, so its two temporaries
-# hold 1 MiB each; at 14x14x256 one pass over all 7 MB of weights ran slower
-ADAM_SLICE = 1 << 17
+# adam_step runs over slices of this many values, so that a slice's weights,
+# grads, two moments and two temporaries (1.5 MB of float64) stay in a 2 MB
+# per-core L2 cache: at 14x14x256 a step took 6.8 ms, against 8.0 ms with
+# slices of 1 << 17 and more again with one pass over all 7 MB of weights
+ADAM_SLICE = 1 << 15
 
 
 class DegenerateDatasetError(ValueError):

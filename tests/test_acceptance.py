@@ -77,7 +77,8 @@ def _hit_rate(params, records):
     """Share of records whose attention summed over the steps peaks at the
     planted location, which is the argmax of channel 0."""
     cfg = params.config
-    x = dat.read_features(records, np.empty((len(records), cfg.num_locations, cfg.d)))
+    rows = np.empty((len(records), cfg.num_locations, cfg.d), np.float32)
+    x = dat.read_features(records, rows).astype(np.float64)  # exact widening
     alpha_sum = sum(mdl.forward(x, params).alpha)
     return float(np.mean(alpha_sum.argmax(axis=1) == x[:, :, 0].argmax(axis=1)))
 

@@ -54,9 +54,9 @@ def feature_reads(monkeypatch):
     reads = []
     true_load = dat.load_feature_file
 
-    def counting_load(path):
+    def counting_load(path, out=None):
         reads.append(path)
-        return true_load(path)
+        return true_load(path, out)
 
     monkeypatch.setattr(dat, "load_feature_file", counting_load)
     return reads
@@ -616,6 +616,29 @@ def test_manifest_grid_mismatch_is_io_error(workspace, tmp_path, monkeypatch, ca
     assert code == EXIT_IO
     assert err.count("\n") == 1 and err.startswith("error:")
     assert "3x3x8" in err and "2x2x8" in err
+
+
+def test_train_manifest_grid_that_disagrees_with_the_files_is_io_error(
+        workspace, tmp_path, monkeypatch, capsys, feature_reads):
+    # a 3000x3000x3000 grid over 2x2x8 files: the model it would build needs 201 GiB
+    with open(workspace["manifest"]) as f:
+        payload = json.load(f)
+    data_dir = os.path.dirname(workspace["manifest"])
+    for r in payload["records"]:
+        r["path"] = os.path.join(data_dir, r["path"])
+    payload.update(w=3000, h=3000, d=3000)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(payload))
+    built = []
+    monkeypatch.setattr(mdl, "init_params", built.append)
+    code, out, err = run(capsys, ["train", "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "run")])
+    first = next(r["path"] for r in payload["records"] if r["split"] == "train")
+    assert code == EXIT_IO and out == ""
+    assert err == f"error: {first}: dims 2x2x8 disagree with manifest 3000x3000x3000\n"
+    # the first train file is read once, after --out is made and before any model is built
+    assert feature_reads == [first] and built == []
+    assert os.listdir(tmp_path / "run") == []
 
 
 def test_bad_checkpoint_magic_is_io_error(workspace, tmp_path, capsys):

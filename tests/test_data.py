@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 import types
@@ -94,6 +95,56 @@ def test_feature_file_hand_built_fixture(tmp_path):
     np.testing.assert_array_equal(loaded, np.arange(12.0).reshape(4, 3))
 
 
+def _faulty_feature_files(tmp_path):
+    """(name, path, out, expected message) for each way load_feature_file fails."""
+    good = tmp_path / "good.amft"
+    dat.write_feature_file(good, np.zeros((4, 3)), w=2, h=2)
+    blob = good.read_bytes()
+    bad = {
+        "bad magic": b"XXXX" + blob[4:],
+        "short header": blob[:12],
+        "version": blob[:4] + struct.pack("<I", 2) + blob[8:],
+        "size": blob[:-4],
+    }
+    nan = np.zeros((4, 3))
+    nan[1, 1] = np.nan
+    dat.write_feature_file(tmp_path / "nan.amft", nan, w=2, h=2)
+    for name, content in bad.items():
+        (tmp_path / f"{name}.amft").write_bytes(content)
+    return [
+        ("bad magic", tmp_path / "bad magic.amft", None, "bad magic"),
+        ("short header", tmp_path / "short header.amft", None, "truncated header"),
+        ("version", tmp_path / "version.amft", None, "unsupported version 2"),
+        ("size", tmp_path / "size.amft", None, "expected 68 bytes, got 64"),
+        ("non-finite", tmp_path / "nan.amft", None, "non-finite"),
+        ("out of the wrong size", good, np.empty(13, np.float32), "an output of 13 values"),
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_feature_file_errors_leave_no_file_open(tmp_path, monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    cases = _faulty_feature_files(tmp_path)
+    before = open_fds()
+    for name, path, out, message in cases:
+        with pytest.raises(dat.FeatureFormatError, match=message):
+            dat.load_feature_file(path, out)
+        assert open_fds() == before, name
+    # the size check sees the whole file, which then reads short
+    monkeypatch.setattr(dat.os, "fstat", lambda fd: types.SimpleNamespace(st_size=20 + 48))
+    for out in (None, np.empty(12, np.float32)):
+        with pytest.raises(dat.FeatureFormatError, match="short read, 44 of 48 payload bytes"):
+            dat.load_feature_file(tmp_path / "size.amft", out)
+        assert open_fds() == before
+    # a directory opens but fails to read, and the error names it
+    with pytest.raises(IsADirectoryError) as info:
+        dat.load_feature_file(tmp_path)
+    assert str(info.value).endswith(f"Is a directory: {str(tmp_path)!r}")
+    assert open_fds() == before
+
+
 # --- manifests --------------------------------------------------------------
 
 def test_manifest_roundtrip(tmp_path):
@@ -135,6 +186,11 @@ def record(**fields):
     return {"id": "a", "path": "a.amft", "score": 0.5, "split": "train", **fields}
 
 
+def third(bad):
+    """A manifest whose third of three records is bad."""
+    return manifest_bytes(records=[record(id="r0"), record(id="r1"), bad])
+
+
 BAD_MANIFESTS = {
     "not JSON": b"{bad",
     "not UTF-8": manifest_bytes().replace(b'"a"', b'"\xff"'),
@@ -146,17 +202,38 @@ BAD_MANIFESTS = {
     "w bool": manifest_bytes(w=True),
     "d zero": manifest_bytes(d=0),
     "records not a list": manifest_bytes(records={}),
-    "record not an object": manifest_bytes(records=[1]),
-    "record without path": manifest_bytes(records=[{"id": "a", "split": "train"}]),
-    "record unknown key": manifest_bytes(records=[record(label=1)]),
-    "id not a string": manifest_bytes(records=[record(id=1)]),
-    "split null": manifest_bytes(records=[record(split=None)]),
-    "path with NUL": manifest_bytes(records=[record(path="a\0b")]),
-    "score bool": manifest_bytes(records=[record(score=True)]),
-    "score string": manifest_bytes(records=[record(score="0.5")]),
+    "record not an object": third(1),
+    "record without path": third({"id": "a", "split": "train"}),
+    "record unknown key": third(record(label=1)),
+    "id not a string": third(record(id=1)),
+    "id with NUL": third(record(id="a\0b")),
+    "split null": third(record(split=None)),
+    "split with NUL": third(record(split="train\0")),
+    "path with NUL": third(record(path="a\0b")),
+    "path not a string": third(record(path=["a.amft"])),
+    "score bool": third(record(score=True)),
+    "score string": third(record(score="0.5")),
     "duplicate ids": manifest_bytes(records=[record(), record(path="b.amft")]),
-    "unknown split": manifest_bytes(records=[record(split="dev")]),
-    "score outside [0, 1]": manifest_bytes(records=[record(score=1.5)]),
+    "unknown split": third(record(split="dev")),
+    "score outside [0, 1]": third(record(score=1.5)),
+}
+
+# how the message about each fault of one record begins: the index and the key,
+# or the id for the faults that only the whole manifest's checks see
+RECORD_FAULTS = {
+    "record not an object": "record 2 must be an object with keys id, path, split",
+    "record without path": "record 2 must be an object with keys id, path, split",
+    "record unknown key": "record 2 must be an object with keys id, path, split",
+    "id not a string": "record 2: id must be a string without NUL, got 1",
+    "id with NUL": "record 2: id must be a string without NUL, got 'a\\x00b'",
+    "split null": "record 2: split must be a string without NUL, got None",
+    "split with NUL": "record 2: split must be a string without NUL, got 'train\\x00'",
+    "path with NUL": "record 2: path must be a string without NUL, got 'a\\x00b'",
+    "path not a string": "record 2: path must be a string without NUL, got ['a.amft']",
+    "score bool": "record 2: score must be a number, got True",
+    "score string": "record 2: score must be a number, got '0.5'",
+    "unknown split": "manifest: unknown split 'dev' for id a",
+    "score outside [0, 1]": "manifest: score 1.5 outside [0,1] for id a",
 }
 
 
@@ -167,6 +244,25 @@ def test_malformed_manifest_is_format_error(tmp_path, fault):
     with pytest.raises(dat.ManifestFormatError) as info:
         dat.load_manifest(path)
     assert str(path) in str(info.value)
+    if fault in RECORD_FAULTS:
+        assert str(info.value).startswith(f"{path}: {RECORD_FAULTS[fault]}")
+
+
+def test_manifest_record_faults_are_reported_in_order(tmp_path):
+    # the first bad record, and within it the shape, then id, path, split, then score
+    path = tmp_path / "manifest.json"
+    for records, message in [
+        ([record(id="r0"), record(split=None, score="x"), record(id=1)],
+         "record 1: split must be"),
+        ([record(id="a\0", path=3, label=1)], "record 0 must be an object"),
+        ([record(id="a\0", path=3, score="x")], "record 0: id must be"),
+        ([record(path=3, split="\0")], "record 0: path must be"),
+        ([record(split="dev"), record(id=1)], "record 1: id must be"),
+    ]:
+        path.write_bytes(manifest_bytes(records=records))
+        with pytest.raises(dat.ManifestFormatError) as info:
+            dat.load_manifest(path)
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_load_split_needs_scores(tmp_path):
@@ -205,18 +301,49 @@ def test_first_read_checks_dims(tmp_path):
     ])
     records = dat.load_split(manifest, tmp_path / "manifest.json", "train")
     with pytest.raises(dat.FeatureFormatError, match="disagree"):
-        dat.read_features(records, np.empty((1, 4, 9)))
+        dat.read_features(records, np.empty((1, 4, 9), np.float32))
+    # a grid of the file's size, read into the row, still has to match
+    manifest.w, manifest.h, manifest.d = 4, 1, 3
+    records = dat.load_split(manifest, tmp_path / "manifest.json", "train")
+    with pytest.raises(dat.FeatureFormatError,
+                       match=r"a\.amft: dims 2x2x3 disagree with manifest 4x1x3$"):
+        dat.read_features(records, np.empty((1, 4, 3), np.float32))
 
 
-def test_read_features_widens_each_file_into_its_row(tmp_path):
+def test_read_features_reads_each_file_straight_into_its_float32_row(tmp_path, monkeypatch):
     manifest, _ = dat.synth_dataset(6, tmp_path, seed=2, w=2, h=2, d=4)
     records = dat.load_split(manifest, tmp_path / "manifest.json", "train")
-    out = np.full((5, 4, 4), -1.0)
+    expected = [dat.load_feature_file(r.path)[3] for r in records]
+    outs, true_load = [], dat.load_feature_file
+    monkeypatch.setattr(dat, "load_feature_file",
+                        lambda path, out=None: outs.append(out) or true_load(path, out))
+    out = np.full((5, 4, 4), -1.0, np.float32)
     x = dat.read_features(records, out)
     assert len(records) == 4 and x.shape == (4, 4, 4) and np.shares_memory(x, out)
-    for row, r in zip(x, records):
-        np.testing.assert_array_equal(row, dat.load_feature_file(r.path)[3])
+    # each file is read into its own row of out, so no array is copied
+    assert [o.__array_interface__["data"][0] for o in outs] == [
+        row.__array_interface__["data"][0] for row in x]
+    for row, features in zip(x, expected):
+        np.testing.assert_array_equal(row, features)
     assert (out[4] == -1.0).all()
+    # only float32 rows are read, and a float64 out is refused before any file is
+    outs.clear()
+    with pytest.raises(TypeError, match="float32"):
+        dat.read_features(records, np.empty((4, 4, 4)))
+    assert [o.dtype for o in outs] == [np.float64]
+
+
+def test_load_feature_file_reads_into_out(tmp_path):
+    features = np.arange(12.0).reshape(4, 3)
+    dat.write_feature_file(tmp_path / "a.amft", features, w=2, h=2)
+    out = np.full(12, -1.0, np.float32)
+    w, h, d, loaded = dat.load_feature_file(tmp_path / "a.amft", out)
+    assert (w, h, d) == (2, 2, 3) and loaded.shape == (4, 3) and np.shares_memory(loaded, out)
+    np.testing.assert_array_equal(out.reshape(4, 3), features)
+    out[...] = -1.0
+    with pytest.raises(dat.FeatureFormatError,
+                       match="dims 2x2x3 disagree with an output of 16 values"):
+        dat.load_feature_file(tmp_path / "a.amft", np.zeros(16, np.float32))
 
 
 # --- heatmap images ---------------------------------------------------------

@@ -562,6 +562,31 @@ def test_train_pass_peak_memory():
     assert peak <= (cfg.t + 1) * x.nbytes + 2 * largest_weight, (peak, x.nbytes, largest_weight)
 
 
+def test_float32_train_pass_peak_memory():
+    # train_epoch's pass runs from the float32 copy of the weights, so the
+    # same T + 1 (N, L, D) arrays and two largest-weight arrays take float32
+    # bytes. Each float32 weight grad is added into the float64 params.grad
+    # through numpy's casting buffer, np.getbufsize() float64 values (64 KiB)
+    # whatever the weight's size: this set-up peaked at 520 KB, against 475 KB
+    # from the arrays alone.
+    cfg = tiny_config(w=10, h=10, d=64, b=64, fm_hidden=8, dropout_rate=0.5, dropout_z=0.5)
+    params = mdl.init_params(cfg)
+    twin = params.float32()
+    x = random_features(cfg, seed=21, n=4).astype(np.float32)
+    tcfg = trn.TrainConfig(penalty_weight=1e-4)
+
+    def train_pass():
+        total = trn.loss(x, np.zeros(4), twin, tcfg, rng=np.random.default_rng(22))
+        total.backward()
+
+    peak, _, _ = traced_peak(train_pass)
+    largest_weight = max(p.data.nbytes for p in twin.params())
+    casting_buffer = np.getbufsize() * 8
+    assert largest_weight == 4 * 8192 and twin.grad is params.grad
+    assert peak <= (cfg.t + 1) * x.nbytes + 2 * largest_weight + casting_buffer, (
+        peak, x.nbytes, largest_weight)
+
+
 def test_adam_step_peak_memory():
     # At 14x14x256 the update runs in slices, so its temporaries stay at
     # two slices, not two copies of the 7 MB parameter vector

@@ -226,7 +226,8 @@ def test_batch_of_identical_samples_matches_single_sample_gradient(tmp_path):
     def batch_grads(records):
         params = mdl.init_params(cfg)
         params.grad[...] = 0.0
-        x = dat.read_features(records, np.empty((len(records), cfg.num_locations, cfg.d)))
+        rows = np.empty((len(records), cfg.num_locations, cfg.d), np.float32)
+        x = dat.read_features(records, rows).astype(np.float64)  # exact widening
         total = trn.loss(x, [norm.normalize(r.score) for r in records], params, tcfg)
         total.backward()
         return {p.name: p.grad / len(records) for p in params.params()}
@@ -267,11 +268,18 @@ def epoch_grads(records, monkeypatch, budget):
     return loss, grads
 
 
-def pass_grads(records, params, chunk):
-    """The summed loss and grads of records run as _backward_pass sub-batches of
-    chunk samples, in the dtype of params."""
+def pass_grads(records, params, chunk, monkeypatch):
+    """The summed loss and grads of records run as float64 _backward_pass
+    sub-batches of chunk samples; each sub-batch's float32 rows are widened,
+    exactly, into the float64 batch."""
+    def widening_read(sub, out):
+        x = out[:len(sub)]
+        x[...] = dat.read_features(sub, np.empty(x.shape, np.float32))
+        return x
+
+    monkeypatch.setattr(trn, "read_features", widening_read)
     cfg = params.config
-    batch = np.empty((chunk, cfg.num_locations, cfg.d), params.data.dtype)
+    batch = np.empty((chunk, cfg.num_locations, cfg.d))
     slots = mdl.tanh_slots(chunk, params, training=True)
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
     tcfg = trn.TrainConfig(penalty_weight=1e-2)
@@ -281,11 +289,11 @@ def pass_grads(records, params, chunk):
     return loss, {p.name: p.grad.copy() for p in params.params()}
 
 
-def test_chunked_sub_batches_give_the_same_batch_gradient(tmp_path):
+def test_chunked_sub_batches_give_the_same_batch_gradient(tmp_path, monkeypatch):
     records = tiny_dataset(tmp_path, n=16)
     params = mdl.init_params(tiny_config())
-    loss_whole, whole = pass_grads(records, params, len(records))
-    loss_chunked, chunked = pass_grads(records, params, 3)
+    loss_whole, whole = pass_grads(records, params, len(records), monkeypatch)
+    loss_chunked, chunked = pass_grads(records, params, 3, monkeypatch)
     assert loss_chunked == pytest.approx(loss_whole, rel=1e-12)
     for name, g in whole.items():
         assert np.abs(chunked[name] - g).max() <= 1e-12 * max(np.abs(g).max(), 1e-300), name
@@ -331,7 +339,7 @@ def test_passes_read_each_file_once_into_one_batch_array(tmp_path, monkeypatch):
     reads, batches = [], []
     true_load, true_forward = dat.load_feature_file, mdl.forward
     monkeypatch.setattr(dat, "load_feature_file",
-                        lambda path: reads.append(path) or true_load(path))
+                        lambda path, out=None: reads.append(path) or true_load(path, out))
     monkeypatch.setattr(mdl, "forward",
                         lambda x, *args, **kwargs: batches.append(x) or true_forward(
                             x, *args, **kwargs))
@@ -431,7 +439,8 @@ def test_float32_evaluate_stays_near_a_float64_forward(tmp_path, monkeypatch, w,
     params = mdl.init_params(cfg)
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
     _, _, passes = _recorded_evaluate(params, norm, records, monkeypatch)
-    x = dat.read_features(records, np.empty((len(records), w * w, d)))
+    rows = np.empty((len(records), w * w, d), np.float32)
+    x = dat.read_features(records, rows).astype(np.float64)  # exact widening
     reference = np.clip(norm.denormalize(mdl.forward(x, params).y), 0.0, 1.0)
     gap = np.abs(np.concatenate(passes) - reference).max()
     # float64 passes differ from each other by batching alone, near 1e-16
