@@ -20,6 +20,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, so a shell's `train && eval` stops
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -121,11 +122,15 @@ def cmd_train(args) -> int:
     # the model is built from the manifest's grid, so the first train file confirms it
     first = train_set[0]
     first.check_dims(dat.load_feature_file(first.path)[:3])
-
-    result = trn.fit(train_set, val_set, norm, model_cfg, train_cfg)
     checkpoint_path = os.path.join(args.out, "checkpoint.amwt")
-    mdl.save_checkpoint(checkpoint_path, result.params, norm=dataclasses.asdict(norm))
-    result.to_jsonl(os.path.join(args.out, "report.jsonl"))
+    report_path = os.path.join(args.out, "report.jsonl")
+
+    def on_best(params, result):  # the checkpoint, then a report that covers it
+        mdl.save_checkpoint(checkpoint_path, params, norm=dataclasses.asdict(norm))
+        result.to_jsonl(report_path)
+
+    result = trn.fit(train_set, val_set, norm, model_cfg, train_cfg, on_best)
+    result.to_jsonl(report_path)
     print(json.dumps({
         "best_epoch": result.best_epoch,
         "val_rho": result.best_rho,
@@ -135,7 +140,7 @@ def cmd_train(args) -> int:
         "stop_reason": result.stop_reason,
         "checkpoint": checkpoint_path,
     }))
-    return EXIT_OK
+    return EXIT_INTERRUPTED if result.stop_reason.endswith(": interrupted") else EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -337,6 +342,9 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -121,9 +121,8 @@ class ModelParams:
         """A float32 copy of these weights for the passes of training and
         evaluation, whose Params view this instance's float64 grads. It is
         cast on first use and kept until drop_float32(), which train_epoch
-        (after each Adam step) and fit (for its copy-back of the best epoch)
-        call as they change data. NonFiniteError names the first parameter
-        with a value beyond the float32 range."""
+        calls after each Adam step, as it changes data. NonFiniteError names
+        the first parameter with a value beyond the float32 range."""
         if self._float32 is None:
             with np.errstate(over="ignore"):  # an overflow gives inf, named below
                 twin = ModelParams(self.config, self.data.astype(np.float32), self.grad)

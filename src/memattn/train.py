@@ -2,7 +2,7 @@
 
 Scores are trained in a normalized [-1, 1] space; normalization stats are
 frozen from the training split. Early stopping tracks validation rank
-correlation and returns the checkpoint from the best epoch. Training,
+correlation; each improvement goes to a callback that keeps it. Training,
 evaluation and prediction all run the batched forward pass of model.py in
 float32, from the weights' cached float32 copy; the weights, their grads,
 the loss values and Adam's moments stay float64 (mixed precision training,
@@ -249,7 +249,6 @@ def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
 
 @dataclass
 class FitResult:
-    params: mdl.ModelParams
     epochs: list[dict] = field(default_factory=list)  # the report.jsonl records
     best_epoch: int = 0
     best_rho: float = float("-inf")
@@ -262,14 +261,16 @@ class FitResult:
 
 
 def fit(train_set, val_set, norm: ScoreNorm, model_cfg: mdl.ModelConfig,
-        train_cfg: TrainConfig) -> FitResult:
+        train_cfg: TrainConfig, on_best) -> FitResult:
     """Full training loop with early stopping on validation rank correlation.
 
     Each epoch trains on scores normalized with norm and evaluates the
     validation set in eval mode; an epoch whose rho is None (undefined) is
-    no improvement. A non-finite loss or prediction ends the run;
-    stop_reason says what ended it. The returned params
-    are those of the best epoch; NoValidEpochError if no epoch had a rho.
+    no improvement. Each improvement calls on_best(params, result) once its
+    record is appended; the params move on with the next epoch, so on_best
+    copies or saves them, as fit keeps no copy and does no I/O. A non-finite
+    loss or prediction, or KeyboardInterrupt, ends the run; stop_reason says
+    what ended it. NoValidEpochError if no epoch had a rho.
     Overflows are left to those checks, so numpy prints no warnings.
     """
     if not train_set or not val_set:
@@ -279,8 +280,7 @@ def fit(train_set, val_set, norm: ScoreNorm, model_cfg: mdl.ModelConfig,
     opt_state = AdamState(params)
     rng = np.random.default_rng(train_cfg.seed)
 
-    result = FitResult(params=params)
-    best_values = None  # allocated at the first improvement, then overwritten
+    result = FitResult()
     bad_epochs = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, train_cfg.max_epochs + 1):
@@ -290,14 +290,15 @@ def fit(train_set, val_set, norm: ScoreNorm, model_cfg: mdl.ModelConfig,
             except ag.NonFiniteError as exc:
                 result.stop_reason = f"epoch {epoch}: {exc}"
                 break
+            except KeyboardInterrupt:
+                result.stop_reason = f"epoch {epoch}: interrupted"
+                break
             result.epochs.append({"epoch": epoch, "train_loss": train_loss,
                                   "val_mse": val_mse, "val_rho": val_rho})
             if val_rho is not None and val_rho > result.best_rho:
                 result.best_rho = val_rho
                 result.best_epoch = epoch
-                if best_values is None:
-                    best_values = np.empty_like(params.data)
-                best_values[...] = params.data
+                on_best(params, result)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -307,6 +308,4 @@ def fit(train_set, val_set, norm: ScoreNorm, model_cfg: mdl.ModelConfig,
     if result.best_epoch == 0:
         raise NoValidEpochError(
             f"fit: no epoch had a defined validation rho (stopped: {result.stop_reason})")
-    params.data[...] = best_values
-    params.drop_float32()
     return result

@@ -1,4 +1,5 @@
 """End-to-end acceptance suite; each test prints one pass/fail line."""
+import dataclasses
 import math
 import time
 
@@ -68,9 +69,16 @@ def _ablation_run(tmp_path, seed, attention_enabled):
                            attention_enabled=attention_enabled, seed=seed)
     tcfg = trn.TrainConfig(batch_size=32, max_epochs=8, patience=8, seed=seed)
     norm = trn.ScoreNorm.from_scores(r.score for r in train_set)
-    result = trn.fit(train_set, val_set, norm, mcfg, tcfg)
-    rho, _ = trn.evaluate(result.params, norm, test_set)
-    return rho, _hit_rate(result.params, test_set)
+    best = {}
+    trn.fit(train_set, val_set, norm, mcfg, tcfg, _keep_best(best))
+    params = mdl.ModelParams(mcfg, best["data"])
+    rho, _ = trn.evaluate(params, norm, test_set)
+    return rho, _hit_rate(params, test_set)
+
+
+def _keep_best(best):
+    """An on_best that keeps a copy of the best epoch's weights in best["data"]."""
+    return lambda params, result: best.update(data=params.data.copy())
 
 
 def _hit_rate(params, records):
@@ -229,15 +237,21 @@ def test_early_stopping_contract(tmp_path, monkeypatch):
         return rho, 0.0
 
     tcfg = trn.TrainConfig(batch_size=16, max_epochs=4, patience=2, seed=0)
+    best = {}
     with monkeypatch.context() as m:
         m.setattr(trn, "evaluate", scripted_evaluate)
-        result = trn.fit(train_set, val_set, norm, cfg, tcfg)
+        result = trn.fit(train_set, val_set, norm, cfg, tcfg, _keep_best(best))
     ok = result.best_epoch == 2 and result.best_rho == 0.7
-    ok = ok and np.array_equal(result.params.data, snapshots[1])
+    ok = ok and np.array_equal(best["data"], snapshots[1])
 
-    # a real run's returned params must reproduce best_rho exactly
+    # a real run's checkpoint, saved at each improvement, must reproduce best_rho exactly
+    checkpoint = tmp_path / "checkpoint.amwt"
+
+    def save_best(params, result):
+        mdl.save_checkpoint(checkpoint, params, norm=dataclasses.asdict(norm))
+
     tcfg = trn.TrainConfig(batch_size=16, max_epochs=5, patience=5, seed=0)
-    result = trn.fit(train_set, val_set, norm, cfg, tcfg)
-    rho, _ = trn.evaluate(result.params, norm, val_set)
+    result = trn.fit(train_set, val_set, norm, cfg, tcfg, save_best)
+    rho, _ = trn.evaluate(mdl.load_checkpoint(checkpoint)[0], norm, val_set)
     ok = ok and abs(rho - result.best_rho) < 1e-12
     report("early stopping returns the max-rho checkpoint", ok)

@@ -4,6 +4,10 @@ import dataclasses
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 
@@ -17,7 +21,7 @@ from memattn import data as dat
 from memattn import model as mdl
 from memattn import train as trn
 from memattn.cli import (
-    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, GRADCHECK_TOLERANCE, build_parser,
+    EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, GRADCHECK_TOLERANCE, build_parser,
     gradcheck_report, heatmap_bytes, main,
 )
 
@@ -179,6 +183,124 @@ def test_diverging_run_keeps_its_best_checkpoint(synth200, tmp_path, capsys,
                                 "--manifest", str(synth200 / "manifest.json"), "--split", "val"])
     assert code == EXIT_OK
     assert abs(json.loads(out)["rho"] - summary["val_rho"]) < 1e-12
+
+
+def scripted_run(monkeypatch, fault):
+    """A train whose val passes return rhos 0.1 and 0.5 at epochs 1 and 2 and
+    raise fault at epoch 3; the weights each pass saw go into snapshots."""
+    snapshots = []
+
+    def scripted_evaluate(params, norm, records):
+        snapshots.append(params.data.copy())
+        if len(snapshots) == 3:
+            raise fault
+        return [0.1, 0.5][len(snapshots) - 1], 0.0
+
+    monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
+    return snapshots
+
+
+def report_epochs(out_dir):
+    return [json.loads(line)["epoch"]
+            for line in (out_dir / "report.jsonl").read_text().splitlines()]
+
+
+def test_interrupted_train_keeps_its_best_epoch(workspace, tmp_path, monkeypatch, capsys):
+    snapshots = scripted_run(monkeypatch, KeyboardInterrupt)
+    code, out, err = run(capsys, ["train", "--manifest", workspace["manifest"],
+                                  "--config", workspace["config"], "--out", str(tmp_path)])
+    assert code == EXIT_INTERRUPTED and err == ""
+    summary = json.loads(out)
+    assert summary["best_epoch"] == 2 and summary["epochs_run"] == 2
+    assert summary["stop_reason"] == "epoch 3: interrupted"
+    params, _ = mdl.load_checkpoint(tmp_path / "checkpoint.amwt")
+    np.testing.assert_array_equal(params.data, snapshots[1])
+    assert report_epochs(tmp_path) == [1, 2]
+
+
+def test_train_writes_its_best_epoch_as_it_goes(workspace, tmp_path, monkeypatch, capsys):
+    # an error nothing catches stands in for a kill: what is on disk is what was written
+    snapshots = scripted_run(monkeypatch, RuntimeError("killed"))
+    with pytest.raises(RuntimeError, match="killed"):
+        main(["train", "--manifest", workspace["manifest"],
+              "--config", workspace["config"], "--out", str(tmp_path)])
+    params, _ = mdl.load_checkpoint(tmp_path / "checkpoint.amwt")
+    np.testing.assert_array_equal(params.data, snapshots[1])
+    assert report_epochs(tmp_path) == [1, 2]
+
+
+def test_interrupt_during_a_save_keeps_the_previous_checkpoint(workspace, tmp_path,
+                                                                monkeypatch, capsys):
+    snapshots = scripted_run(monkeypatch, AssertionError("no third epoch"))
+    true_save, true_header = mdl.save_checkpoint, mdl._param_header
+    headers = []
+
+    def interrupted_header(name, shape):
+        headers.append(name)
+        if len(headers) == 3:  # two parameters of epoch 2's checkpoint are written
+            raise KeyboardInterrupt
+        return true_header(name, shape)
+
+    def save(path, params, norm):
+        if os.path.exists(path):
+            monkeypatch.setattr(mdl, "_param_header", interrupted_header)
+        true_save(path, params, norm)
+
+    monkeypatch.setattr(mdl, "save_checkpoint", save)
+    code, out, err = run(capsys, ["train", "--manifest", workspace["manifest"],
+                                  "--config", workspace["config"], "--out", str(tmp_path)])
+    assert code == EXIT_INTERRUPTED and out == "" and err == "error: interrupted\n"
+    assert sorted(os.listdir(tmp_path)) == ["checkpoint.amwt", "report.jsonl"]
+    params, _ = mdl.load_checkpoint(tmp_path / "checkpoint.amwt")
+    np.testing.assert_array_equal(params.data, snapshots[0])
+    assert report_epochs(tmp_path) == [1]
+
+
+def test_interrupt_before_the_first_improvement_writes_no_file(workspace, tmp_path,
+                                                                monkeypatch, capsys):
+    def interrupted_evaluate(params, norm, records):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(trn, "evaluate", interrupted_evaluate)
+    code, out, err = run(capsys, ["train", "--manifest", workspace["manifest"],
+                                  "--config", workspace["config"], "--out", str(tmp_path / "run")])
+    assert code == EXIT_VERIFY and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "epoch 1: interrupted" in err
+    assert not any((tmp_path / "run").iterdir())
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX signals")
+def test_sigint_ends_a_train_process_with_a_usable_checkpoint(workspace, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "train": {
+        **CONFIG["train"], "max_epochs": 1_000_000, "patience": 1_000_000}}))
+    out_dir = tmp_path / "run"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "memattn.cli", "train", "--manifest", workspace["manifest"],
+         "--config", str(config), "--out", str(out_dir)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        # a shell may start background jobs with SIGINT ignored; Python then installs no handler
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60.0
+        # the report is written after the checkpoint, so both exist once it does
+        while not (out_dir / "report.jsonl").exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "no checkpoint within 60 s"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == EXIT_INTERRUPTED, err
+    # it lands in an epoch (the summary line) or in a save (one error line)
+    assert (err == "" and json.loads(out)["stop_reason"].endswith(": interrupted")
+            or err == "error: interrupted\n")
+    assert main(["eval", "--checkpoint", str(out_dir / "checkpoint.amwt"),
+                 "--manifest", workspace["manifest"]]) == EXIT_OK
 
 
 def test_train_missing_split(tmp_path, capsys):

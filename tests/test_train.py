@@ -526,14 +526,16 @@ def test_weights_beyond_the_float32_range_end_the_run_with_the_best_epoch(
         return 0.5, 0.0
 
     monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
-    result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg)
+    best = {}
+    result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg,
+                     keep_best(best))
     assert [e["epoch"] for e in result.epochs] == [1] and result.best_epoch == 1
     assert result.stop_reason.startswith("epoch 2: parameter ")
     assert result.stop_reason.endswith(" has values beyond the float32 range")
-    np.testing.assert_array_equal(result.params.data, snapshots[0])
+    np.testing.assert_array_equal(best[result.best_epoch], snapshots[0])
 
 
-def test_training_drops_the_float32_copy(tmp_path, monkeypatch):
+def test_training_drops_the_float32_copy(tmp_path):
     records = tiny_dataset(tmp_path)
     params = mdl.init_params(tiny_config())
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
@@ -542,20 +544,6 @@ def test_training_drops_the_float32_copy(tmp_path, monkeypatch):
                     norm, np.random.default_rng(0))
     assert params.float32() is not before
     np.testing.assert_array_equal(params.float32().data, params.data.astype(np.float32))
-
-    # fit's copy-back of the best epoch drops the copy of the last one
-    rhos = iter([0.7, 0.1, 0.2])
-
-    def scripted_evaluate(params, norm, val_set):
-        params.float32()
-        return next(rhos), 0.0
-
-    monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
-    result = trn.fit(records[:12], records[12:], norm, tiny_config(),
-                     trn.TrainConfig(batch_size=8, max_epochs=3, patience=3))
-    assert result.best_epoch == 1
-    np.testing.assert_array_equal(result.params.float32().data,
-                                  result.params.data.astype(np.float32))
 
 
 def test_train_epoch_empty_set_rejected():
@@ -571,6 +559,17 @@ def test_train_epoch_empty_set_rejected():
 
 def train_norm(train_set):
     return trn.ScoreNorm.from_scores(r.score for r in train_set)
+
+
+def keep_best(best):
+    """An on_best that keeps a copy of each improvement's weights in best, by epoch."""
+    def on_best(params, result):
+        best[result.best_epoch] = params.data.copy()
+    return on_best
+
+
+def ignore_best(params, result):
+    pass
 
 
 def injected_fit(rho_sequence, tmp_path, monkeypatch, patience, max_epochs=None):
@@ -590,7 +589,7 @@ def injected_fit(rho_sequence, tmp_path, monkeypatch, patience, max_epochs=None)
         return rho, 0.0
 
     monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
-    return trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg)
+    return trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg, ignore_best)
 
 
 def test_early_stopping_patience_one(tmp_path, monkeypatch):
@@ -624,10 +623,12 @@ def test_fit_deterministic_report(tmp_path):
     val_set = dat.load_split(manifest, tmp_path / "manifest.json", "val")
     cfg = tiny_config()
     tcfg = trn.TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=1)
-    a = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg)
-    b = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg)
+    best_a, best_b = {}, {}
+    a = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg, keep_best(best_a))
+    b = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg, keep_best(best_b))
     report = ("epochs", "best_epoch", "best_rho", "stop_reason")
     assert [getattr(a, k) for k in report] == [getattr(b, k) for k in report]
+    np.testing.assert_array_equal(best_a[a.best_epoch], best_b[b.best_epoch])
 
 
 def test_loss_decreases_smoothly_without_attention(tmp_path):
@@ -637,7 +638,7 @@ def test_loss_decreases_smoothly_without_attention(tmp_path):
     cfg = tiny_config(attention_enabled=False)
     tcfg = trn.TrainConfig(learning_rate=1e-4, penalty_weight=0.0, batch_size=8,
                            max_epochs=10, patience=10, seed=0)
-    result = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg)
+    result = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg, ignore_best)
     losses = [e["train_loss"] for e in result.epochs]
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev * 1.10
@@ -666,11 +667,13 @@ def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path, monkeypatch):
     records = tiny_dataset(tmp_path, n=12)
     tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
     monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
-    result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg)
+    best = {}
+    result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg,
+                     keep_best(best))
     assert [e["epoch"] for e in result.epochs] == [1, 2]
     assert result.best_epoch == 2 and result.stop_reason != "patience"
     assert result.stop_reason == "epoch 3: predict: non-finite score nan"
-    np.testing.assert_array_equal(result.params.data, snapshots[1])
+    np.testing.assert_array_equal(best[result.best_epoch], snapshots[1])
 
 
 def test_fit_keeps_the_best_epoch_across_later_improvements(tmp_path, monkeypatch):
@@ -683,11 +686,14 @@ def test_fit_keeps_the_best_epoch_across_later_improvements(tmp_path, monkeypatc
     records = tiny_dataset(tmp_path, n=12)
     tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
     monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
-    result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg)
+    best = {}
+    result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg,
+                     keep_best(best))
     assert result.best_epoch == 4
+    assert list(best) == [1, 2, 4]  # on_best runs at each improvement, and only then
     # epoch 5 moved the params after the kept copy was last written
     assert not np.array_equal(snapshots[4], snapshots[3])
-    np.testing.assert_array_equal(result.params.data, snapshots[3])
+    np.testing.assert_array_equal(best[result.best_epoch], snapshots[3])
 
 
 def test_no_defined_rho_raises(tmp_path, monkeypatch):
