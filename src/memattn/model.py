@@ -87,13 +87,13 @@ def _param_shapes(cfg: ModelConfig):
 class ModelParams:
     """All learnable weights, addressable by name in a stable order.
 
-    data and grad are two float64 vectors of every weight in the order of
+    data and grad are two vectors of every weight in the order of
     _param_shapes(config); each Param's data and grad are views of its
     slice of them, so an element-wise update of all weights is one array
-    operation. Given data and grad, the instance views those vectors
-    instead: float32() builds its copy this way, with float32 data and the
-    master's float64 grad, so a backward run on the copy adds into the
-    master's grads.
+    operation. Both are float64 unless given: float32() gives its cast
+    float32 data and the master's float64 grad, so a backward run on the
+    cast adds into the master's grads, and load_checkpoint gives its
+    params float32 data, for inference only.
     """
 
     def __init__(self, config: ModelConfig, data: np.ndarray | None = None,
@@ -103,7 +103,6 @@ class ModelParams:
         size = sum(math.prod(shape) for _, shape in shapes)
         self.data = np.zeros(size) if data is None else data
         self.grad = np.zeros(size) if grad is None else grad
-        self._float32 = None
         self._params, start = {}, 0
         for name, shape in shapes:
             end = start + math.prod(shape)
@@ -118,23 +117,23 @@ class ModelParams:
         return list(self._params.values())
 
     def float32(self) -> ModelParams:
-        """A float32 copy of these weights for the passes of training and
-        evaluation, whose Params view this instance's float64 grads. It is
-        cast on first use and kept until drop_float32(), which train_epoch
-        calls after each Adam step, as it changes data. NonFiniteError names
-        the first parameter with a value beyond the float32 range."""
-        if self._float32 is None:
-            with np.errstate(over="ignore"):  # an overflow gives inf, named below
-                twin = ModelParams(self.config, self.data.astype(np.float32), self.grad)
-            if not np.isfinite(twin.data).all():
-                name = next(p.name for p in twin.params() if not np.isfinite(p.data).all())
-                raise NonFiniteError(f"parameter {name} has values beyond the float32 range")
-            self._float32 = twin
-        return self._float32
+        """These weights in float32, for the passes of training and
+        evaluation: self if data is float32, else a fresh cast whose Params
+        view this instance's float64 grads. NonFiniteError names the first
+        parameter with a value beyond the float32 range."""
+        if self.data.dtype == np.float32:
+            return self
+        with np.errstate(over="ignore"):  # an overflow gives inf, named below
+            twin = ModelParams(self.config, self.data.astype(np.float32), self.grad)
+        return _in_float32_range(twin)
 
-    def drop_float32(self) -> None:
-        """Forget the float32 copy after data has changed."""
-        self._float32 = None
+
+def _in_float32_range(params: ModelParams) -> ModelParams:
+    """The float32 params; NonFiniteError names the first to hold an overflow's inf."""
+    if not np.isfinite(params.data).all():
+        name = next(p.name for p in params.params() if not np.isfinite(p.data).all())
+        raise NonFiniteError(f"parameter {name} has values beyond the float32 range")
+    return params
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -492,15 +491,16 @@ def _checkpoint_meta(path, meta_bytes: bytes):
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, norm dict).
+    """Returns (ModelParams, norm dict); params.data is float32, for inference.
 
     The file must hold exactly the bytes save_checkpoint writes for its
     stored config: the parameters of that config, in order, each behind its
     _param_header, with finite values, and nothing after the last one. Its
     size is checked against the config before the values are read, each
-    straight into its parameter's slice of params.data.
+    through one float64 buffer into params.data; then NonFiniteError names
+    the first parameter with a value beyond the float32 range.
     """
-    with open(path, "rb", buffering=0) as f:
+    with open(path, "rb", buffering=0) as f, np.errstate(over="ignore"):
         size = os.fstat(f.fileno()).st_size
         head = f.read(12)
         if head[:4] != CHECKPOINT_MAGIC:
@@ -515,27 +515,27 @@ def load_checkpoint(path):
             raise CheckpointFormatError(f"{path}: truncated: file has {size} bytes, its "
                                         f"meta block ends at {pos}")
         config, norm = _checkpoint_meta(path, f.read(meta_len))
-        layout = [(name, shape, _param_header(name, shape))
+        layout = [(name, shape, math.prod(shape), _param_header(name, shape))
                   for name, shape in _param_shapes(config)]
-        expected = pos + sum(len(header) + 8 * math.prod(shape) for _, shape, header in layout)
+        expected = pos + sum(len(header) + 8 * count for _, _, count, header in layout)
         if size != expected:
             state = "truncated" if size < expected else "trailing bytes after the last parameter"
             raise CheckpointFormatError(f"{path}: {state}: file has {size} bytes, its "
                                         f"config needs {expected}")
-        params, start = ModelParams(config), 0
-        for name, shape, header in layout:
+        params = ModelParams(config, np.empty(sum(c for _, _, c, _ in layout), np.float32))
+        buffer = np.empty(max(c for _, _, c, _ in layout), "<f8")  # little-endian f64
+        for name, shape, count, header in layout:
             if f.read(len(header)) != header:
                 raise CheckpointFormatError(f"{path}: the header at offset {pos} is not that "
                                             f"of parameter {name} with shape {shape}")
-            values = params.data[start:start + math.prod(shape)]
+            values = buffer[:count]
             got = f.readinto(values)
             if got != values.nbytes:
                 raise CheckpointFormatError(f"{path}: short read, {got} of {values.nbytes} "
                                             f"bytes of parameter {name}")
-            pos, start = pos + len(header) + got, start + values.size
-    if sys.byteorder != "little":  # the file holds little-endian f64
-        params.data.byteswap(inplace=True)
-    if not np.isfinite(params.data).all():
-        name = next(p.name for p in params.params() if not np.isfinite(p.data).all())
-        raise CheckpointFormatError(f"{path}: parameter {name} has non-finite values")
-    return params, norm
+            if not np.isfinite(values).all():
+                raise CheckpointFormatError(f"{path}: parameter {name} has non-finite values")
+            params[name].data[...] = values.reshape(shape)  # an overflow gives inf, named below
+            pos += len(header) + got
+    del buffer, values  # the range check's mask, of one byte per value, takes their place
+    return _in_float32_range(params), norm

@@ -4,9 +4,9 @@ Scores are trained in a normalized [-1, 1] space; normalization stats are
 frozen from the training split. Early stopping tracks validation rank
 correlation; each improvement goes to a callback that keeps it. Training,
 evaluation and prediction all run the batched forward pass of model.py in
-float32, from the weights' cached float32 copy; the weights, their grads,
-the loss values and Adam's moments stay float64 (mixed precision training,
-Micikevicius et al. 2018, arXiv:1710.03740).
+float32 (mixed precision, Micikevicius et al. 2018, arXiv:1710.03740):
+training casts its float64 master weights, whose grads, loss values and
+Adam's moments stay float64, and inference loads float32 weights.
 """
 from __future__ import annotations
 
@@ -179,11 +179,11 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
                 train_cfg: TrainConfig, norm: ScoreNorm, rng) -> float:
     """One shuffled pass in minibatches; grads averaged per batch.
 
-    Each minibatch runs as sub-batches of _sub_batch samples, one float32
-    pass and one backward each from params.float32(), all in one batch
-    array and one set of slots; the backwards add into the float64
-    params.grad, from which adam_step updates the float64 weights. Each
-    step drops the float32 copy, so it always matches params.data.
+    Each minibatch casts params.float32() once and runs as sub-batches of
+    _sub_batch samples, one float32 pass and one backward each from that
+    cast, all in one batch array and one set of slots; the backwards add
+    into the float64 params.grad, from which adam_step updates the float64
+    weights.
     Returns the mean per-sample loss over the epoch. A non-finite sub-batch
     loss, or a weight beyond the float32 range, raises NonFiniteError.
     """
@@ -194,18 +194,18 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
     cfg = params.config
     step = _sub_batch(cfg)
     batch_x = np.empty((step, cfg.num_locations, cfg.d), np.float32)
-    slots = mdl.tanh_slots(step, params.float32(), training=True)
-    total_loss = 0.0
+    slots, total_loss = None, 0.0
     for start in range(0, n, train_cfg.batch_size):
         batch = order[start : start + train_cfg.batch_size]
         twin = params.float32()  # cast once per minibatch
+        if slots is None:
+            slots = mdl.tanh_slots(step, twin, training=True)
         params.grad[...] = 0.0
         for sub in range(0, len(batch), step):
             records = [train_set[int(i)] for i in batch[sub : sub + step]]
             total_loss += _backward_pass(records, batch_x, slots, twin, train_cfg, norm, rng)
         params.grad *= 1.0 / len(batch)
         adam_step(params, opt_state, train_cfg)
-        params.drop_float32()
     return total_loss / n
 
 
@@ -224,17 +224,17 @@ def _scores(params: mdl.ModelParams, norm: ScoreNorm, x, slots=None):
 
 
 def predict(params: mdl.ModelParams, norm: ScoreNorm, features):
-    """Eval-mode prediction for one (L, D) grid, run in float32 from the
-    cached params.float32(): (clamped denormalized y, raw trace)."""
+    """Eval-mode prediction for one (L, D) grid, run in float32 from
+    params.float32(): (clamped denormalized y, raw trace)."""
     y, trace = _scores(params.float32(), norm, np.asarray(features)[None])
     return float(y[0]), trace
 
 
 def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
     """(rho, mse) of the denormalized, clamped predictions, from float32
-    eval passes of _sub_batch samples in one batch array, run from the
-    cached params.float32(); rho is None when the predictions or the scores
-    are constant, which leaves it undefined."""
+    eval passes of _sub_batch samples in one batch array, run from
+    params.float32(); rho is None when the predictions or the scores are
+    constant, which leaves it undefined."""
     cfg, twin = params.config, params.float32()
     step = _sub_batch(cfg)
     batch = np.empty((step, cfg.num_locations, cfg.d), np.float32)

@@ -205,7 +205,24 @@ def report_epochs(out_dir):
             for line in (out_dir / "report.jsonl").read_text().splitlines()]
 
 
-def test_interrupted_train_keeps_its_best_epoch(workspace, tmp_path, monkeypatch, capsys):
+def assert_checkpoint_holds(path, snapshot, reference_dir):
+    """The checkpoint at path loads, and its bytes are those of a save of the
+    float64 weights snapshot under its config and norm, made in reference_dir."""
+    loaded, norm = mdl.load_checkpoint(path)
+    expected = reference_dir / "expected.amwt"
+    mdl.save_checkpoint(expected, mdl.ModelParams(loaded.config, snapshot), norm=norm)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+def widened_checkpoint(path):
+    """The checkpoint's weights as float64 params, which can take values
+    beyond the float32 range, and its norm."""
+    loaded, norm = mdl.load_checkpoint(path)
+    return mdl.ModelParams(loaded.config, loaded.data.astype(np.float64)), norm
+
+
+def test_interrupted_train_keeps_its_best_epoch(workspace, tmp_path, tmp_path_factory,
+                                                monkeypatch, capsys):
     snapshots = scripted_run(monkeypatch, KeyboardInterrupt)
     code, out, err = run(capsys, ["train", "--manifest", workspace["manifest"],
                                   "--config", workspace["config"], "--out", str(tmp_path)])
@@ -213,23 +230,25 @@ def test_interrupted_train_keeps_its_best_epoch(workspace, tmp_path, monkeypatch
     summary = json.loads(out)
     assert summary["best_epoch"] == 2 and summary["epochs_run"] == 2
     assert summary["stop_reason"] == "epoch 3: interrupted"
-    params, _ = mdl.load_checkpoint(tmp_path / "checkpoint.amwt")
-    np.testing.assert_array_equal(params.data, snapshots[1])
+    assert_checkpoint_holds(tmp_path / "checkpoint.amwt", snapshots[1],
+                            tmp_path_factory.mktemp("expected"))
     assert report_epochs(tmp_path) == [1, 2]
 
 
-def test_train_writes_its_best_epoch_as_it_goes(workspace, tmp_path, monkeypatch, capsys):
+def test_train_writes_its_best_epoch_as_it_goes(workspace, tmp_path, tmp_path_factory,
+                                                monkeypatch, capsys):
     # an error nothing catches stands in for a kill: what is on disk is what was written
     snapshots = scripted_run(monkeypatch, RuntimeError("killed"))
     with pytest.raises(RuntimeError, match="killed"):
         main(["train", "--manifest", workspace["manifest"],
               "--config", workspace["config"], "--out", str(tmp_path)])
-    params, _ = mdl.load_checkpoint(tmp_path / "checkpoint.amwt")
-    np.testing.assert_array_equal(params.data, snapshots[1])
+    assert_checkpoint_holds(tmp_path / "checkpoint.amwt", snapshots[1],
+                            tmp_path_factory.mktemp("expected"))
     assert report_epochs(tmp_path) == [1, 2]
 
 
 def test_interrupt_during_a_save_keeps_the_previous_checkpoint(workspace, tmp_path,
+                                                                tmp_path_factory,
                                                                 monkeypatch, capsys):
     snapshots = scripted_run(monkeypatch, AssertionError("no third epoch"))
     true_save, true_header = mdl.save_checkpoint, mdl._param_header
@@ -251,8 +270,9 @@ def test_interrupt_during_a_save_keeps_the_previous_checkpoint(workspace, tmp_pa
                                   "--config", workspace["config"], "--out", str(tmp_path)])
     assert code == EXIT_INTERRUPTED and out == "" and err == "error: interrupted\n"
     assert sorted(os.listdir(tmp_path)) == ["checkpoint.amwt", "report.jsonl"]
-    params, _ = mdl.load_checkpoint(tmp_path / "checkpoint.amwt")
-    np.testing.assert_array_equal(params.data, snapshots[0])
+    monkeypatch.undo()  # the reference save runs the true save_checkpoint
+    assert_checkpoint_holds(tmp_path / "checkpoint.amwt", snapshots[0],
+                            tmp_path_factory.mktemp("expected"))
     assert report_epochs(tmp_path) == [1]
 
 
@@ -411,7 +431,7 @@ def test_predict_output_and_contribution_sum(workspace, capsys):
         assert len(contributions) == params.config.t
         record = next(r for r in manifest.records if r.id == sample_id)
         features = dat.load_feature_file(os.path.join(manifest_dir, record.path))[3]
-        # predict runs in float32 from the weights' cached float32 copy
+        # predict runs in float32 from the loaded float32 weights
         trace = mdl.forward(features[None], params.float32())
         unclamped = norm.denormalize(trace.y_value())
         assert abs(sum(contributions) - unclamped) < 1e-9
@@ -805,7 +825,7 @@ def test_truncated_checkpoint_is_io_error(workspace, tmp_path, monkeypatch, caps
 def test_huge_finite_weights_exit_cleanly_without_warnings(workspace, tmp_path, monkeypatch,
                                                            capsys, command):
     monkeypatch.chdir(tmp_path)
-    params, norm = mdl.load_checkpoint(workspace["checkpoint"])
+    params, norm = widened_checkpoint(workspace["checkpoint"])
     params["att_K"].data[0, 0] = 1e308
     params["lstm_Wi"].data[0] = 1e300
     huge = tmp_path / "huge.amwt"
@@ -828,7 +848,7 @@ def test_huge_finite_weights_exit_cleanly_without_warnings(workspace, tmp_path, 
 def test_weights_beyond_the_float32_range_exit_3_naming_the_parameter(
         workspace, tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
-    params, norm = mdl.load_checkpoint(workspace["checkpoint"])
+    params, norm = widened_checkpoint(workspace["checkpoint"])
     params["lstm_Wo"].data[1, 1] = 1e39  # finite in float64, beyond float32's 3.4e38
     wide = tmp_path / "wide.amwt"
     mdl.save_checkpoint(wide, params, norm=norm)
@@ -840,6 +860,29 @@ def test_weights_beyond_the_float32_range_exit_3_naming_the_parameter(
     assert code == EXIT_VERIFY and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "lstm_Wo" in err
     assert not (tmp_path / "maps").exists()
+
+
+def test_eval_checks_the_float32_range_at_load_before_the_manifests(workspace, tmp_path, capsys,
+                                                                   feature_reads):
+    params, norm = widened_checkpoint(workspace["checkpoint"])
+    params["lstm_Wo"].data[1, 1] = 1e39  # finite in float64, beyond float32's 3.4e38
+    wide = tmp_path / "wide.amwt"
+    mdl.save_checkpoint(wide, params, norm=norm)
+    other, _ = dat.synth_dataset(20, tmp_path / "other", seed=0, w=3, h=2, d=8)
+    assert (other.w, other.h) != (params.config.w, params.config.h)
+    # the load's range check comes before the manifest's grid check (exit 2)
+    code, out, err = run(capsys, ["eval", "--checkpoint", str(wide),
+                                  "--manifest", str(tmp_path / "other" / "manifest.json")])
+    assert code == EXIT_VERIFY and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "lstm_Wo" in err
+    assert feature_reads == []
+    # a non-finite value after the overflow is still a format error, exit 2
+    params["fm_w1"].data[0, 0] = np.nan
+    mdl.save_checkpoint(wide, params, norm=norm)
+    code, out, err = run(capsys, ["eval", "--checkpoint", str(wide),
+                                  "--manifest", workspace["manifest"]])
+    assert code == EXIT_IO and out == ""
+    assert err.count("\n") == 1 and "fm_w1" in err and "non-finite" in err
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])

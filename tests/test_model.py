@@ -78,10 +78,10 @@ def test_writes_through_the_vector_show_in_each_param():
         params.grad, np.concatenate([p.grad.ravel() for p in params.params()]))
 
 
-def test_float32_copy_is_cast_once_and_kept_until_dropped():
+def test_float32_casts_float64_weights_afresh_and_gives_float32_weights_themselves(tmp_path):
     params = mdl.init_params(tiny_config())
     twin = params.float32()
-    # the copy's weights are float32; its grads are the master's float64 vector
+    # the cast's weights are float32; its grads are the master's float64 vector
     assert twin.data.dtype == np.float32 and twin.grad is params.grad
     np.testing.assert_array_equal(twin.data, params.data.astype(np.float32))
     for p in twin.params():
@@ -89,9 +89,17 @@ def test_float32_copy_is_cast_once_and_kept_until_dropped():
         # the same float64 slice of the master's grad: address, shape, strides, dtype
         assert p.grad.__array_interface__ == params[p.name].grad.__array_interface__
         np.testing.assert_array_equal(p.data, params[p.name].data.astype(np.float32))
-    assert params.float32() is twin
-    params.drop_float32()
-    assert params.float32() is not twin
+    # the instance keeps no cast: each call makes a fresh one of the current weights
+    params["fm_b2"].data[...] = 0.25
+    again = params.float32()
+    assert again is not twin and again.grad is params.grad
+    np.testing.assert_array_equal(again.data, params.data.astype(np.float32))
+    # float32 weights, as load_checkpoint gives them, are their own float32()
+    assert twin.float32() is twin
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, params, norm=NORM)
+    loaded, _ = mdl.load_checkpoint(path)
+    assert loaded.float32() is loaded
 
 
 def test_float32_copy_names_a_parameter_beyond_the_float32_range():
@@ -614,9 +622,12 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded, loaded_norm = mdl.load_checkpoint(path)
     assert loaded.config == cfg
     assert loaded_norm == NORM
+    # the loaded weights are float32, for inference: the exact cast of the saved ones
+    assert loaded.data.dtype == np.float32
+    np.testing.assert_array_equal(loaded.data, params.data.astype(np.float32))
     for a, b in zip(params.params(), loaded.params()):
         assert a.name == b.name
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a.data.astype(np.float32), b.data)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -711,13 +722,18 @@ def test_checkpoint_save_peak_memory(tmp_path):
 
 
 def test_checkpoint_load_peak_memory(tmp_path):
-    # the values are read straight into params.data: the load holds the data
-    # and grad vectors and the finiteness check's bool mask, no copy of the file
+    # each parameter is read into one float64 buffer the size of the largest,
+    # checked in a bool mask of its size and cast into the float32
+    # params.data: beside the data and grad vectors the load holds 9 bytes per
+    # value of the largest parameter, and no copy of the file. The range check
+    # after the last parameter, a mask of one byte per weight, runs once the
+    # buffer is freed, and here it takes less.
     params = mdl.ModelParams(tiny_config(w=14, h=14, d=256, b=256, fm_hidden=128))
     path = tmp_path / "model.amwt"
     mdl.save_checkpoint(path, params, norm=NORM)
-    peak, _, _ = traced_peak(lambda: mdl.load_checkpoint(path))
-    assert peak <= 2 * params.data.nbytes + params.data.size + 64 * 1024, peak
+    peak, _, (loaded, _) = traced_peak(lambda: mdl.load_checkpoint(path))
+    largest = max(p.data.size for p in params.params())
+    assert peak <= loaded.data.nbytes + loaded.grad.nbytes + 9 * largest + 64 * 1024, peak
 
 
 def test_checkpoint_non_finite_weights_rejected(tmp_path):
@@ -726,6 +742,22 @@ def test_checkpoint_non_finite_weights_rejected(tmp_path):
     path = tmp_path / "model.amwt"
     mdl.save_checkpoint(path, params, norm=NORM)
     with pytest.raises(mdl.CheckpointFormatError, match="lstm_Wf.*non-finite") as info:
+        mdl.load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_non_finite_value_is_found_before_an_earlier_float32_overflow(tmp_path):
+    # each parameter is checked for finiteness as it is read, and the float32
+    # range only after the last one, so a later NaN outranks an earlier overflow
+    params = mdl.init_params(tiny_config())
+    params["att_K"].data[0, 0] = 1e39  # finite in float64, beyond float32's 3.4e38
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, params, norm=NORM)
+    with pytest.raises(ag.NonFiniteError, match="att_K.*float32 range"):
+        mdl.load_checkpoint(path)
+    params["fm_w1"].data[1, 2] = np.nan
+    mdl.save_checkpoint(path, params, norm=NORM)
+    with pytest.raises(mdl.CheckpointFormatError, match="fm_w1.*non-finite") as info:
         mdl.load_checkpoint(path)
     assert str(path) in str(info.value)
 

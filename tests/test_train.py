@@ -535,15 +535,35 @@ def test_weights_beyond_the_float32_range_end_the_run_with_the_best_epoch(
     np.testing.assert_array_equal(best[result.best_epoch], snapshots[0])
 
 
-def test_training_drops_the_float32_copy(tmp_path):
+def test_weights_are_cast_once_per_minibatch_and_loaded_weights_never(tmp_path, monkeypatch):
+    casts = []
+    true_float32 = mdl.ModelParams.float32
+
+    def counted_float32(self):
+        twin = true_float32(self)
+        if twin is not self:
+            casts.append(twin)
+        return twin
+
+    monkeypatch.setattr(mdl.ModelParams, "float32", counted_float32)
     records = tiny_dataset(tmp_path)
     params = mdl.init_params(tiny_config())
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
-    before = params.float32()
-    trn.train_epoch(records, params, trn.AdamState(params), trn.TrainConfig(batch_size=8),
+    # 16 records in minibatches of 5: 4 minibatches, and no cast to size the slots
+    trn.train_epoch(records, params, trn.AdamState(params), trn.TrainConfig(batch_size=5),
                     norm, np.random.default_rng(0))
-    assert params.float32() is not before
+    assert len(casts) == 4
     np.testing.assert_array_equal(params.float32().data, params.data.astype(np.float32))
+    casts.clear()
+    trn.evaluate(params, norm, records)
+    assert len(casts) == 1
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, params, norm={"mean": norm.mean, "half_range": norm.half_range})
+    loaded, _ = mdl.load_checkpoint(path)
+    casts.clear()
+    trn.evaluate(loaded, norm, records)
+    trn.predict(loaded, norm, np.zeros((loaded.config.num_locations, loaded.config.d)))
+    assert casts == []
 
 
 def test_train_epoch_empty_set_rejected():
