@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
         w=manifest.w, h=manifest.h, d=manifest.d, seed=args.seed,
         attention_enabled=not args.no_attention,
     )
-    train_cfg = _config(trn.TrainConfig(), "train", config_file.get("train", {}), seed=args.seed)
+    train_cfg = _config(trn.TrainConfig(), "train", config_file.get("train", {}))
     # the configs, scores and split sizes are checked before --out is made
     train_set, val_set = (dat.load_split(manifest, args.manifest, s) for s in ("train", "val"))
     if not train_set or len(val_set) < 2:
@@ -289,7 +289,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=0, help="the model and the training seed")
+    p.add_argument("--seed", type=int, default=0, help="seeds init, shuffling and dropout")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--no-attention", action="store_true",

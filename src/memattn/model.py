@@ -29,6 +29,7 @@ from .data import atomic_open
 
 CHECKPOINT_MAGIC = b"AMWT"
 CHECKPOINT_VERSION = 1
+LOAD_SLICE = 1 << 15  # values per read of load_checkpoint, into a 256 KB float64 buffer
 
 
 @dataclass
@@ -125,15 +126,10 @@ class ModelParams:
             return self
         with np.errstate(over="ignore"):  # an overflow gives inf, named below
             twin = ModelParams(self.config, self.data.astype(np.float32), self.grad)
-        return _in_float32_range(twin)
-
-
-def _in_float32_range(params: ModelParams) -> ModelParams:
-    """The float32 params; NonFiniteError names the first to hold an overflow's inf."""
-    if not np.isfinite(params.data).all():
-        name = next(p.name for p in params.params() if not np.isfinite(p.data).all())
-        raise NonFiniteError(f"parameter {name} has values beyond the float32 range")
-    return params
+        if not np.isfinite(twin.data).all():
+            name = next(p.name for p in twin.params() if not np.isfinite(p.data).all())
+            raise NonFiniteError(f"parameter {name} has values beyond the float32 range")
+        return twin
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -266,29 +262,28 @@ def _dropout_mask(shape, rate: float, rng, training: bool, dtype):
     return ((rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype, copy=False)
 
 
-def tanh_slots(n: int, params: ModelParams, training: bool) -> np.ndarray | None:
-    """Slots, of the weights' dtype, for the (n, L, D) tanh terms of every
-    step but the last, whose terms are formed in the keys: T - 1 for a
-    training pass, which keeps them all, and at most one for an eval pass;
-    None when attention is disabled."""
-    config = params.config
+def tanh_slots(batch: np.ndarray, config: ModelConfig, training: bool) -> np.ndarray | None:
+    """Slots, each of the (N, L, D) batch's shape and dtype, for the tanh
+    terms of every step but the last, whose terms are formed in the keys:
+    T - 1 for a training pass, which keeps them all, and at most one for an
+    eval pass; None when attention is disabled."""
     if not config.attention_enabled:
         return None
     count = config.t - 1 if training else min(1, config.t - 1)
-    return np.empty((count, n, config.num_locations, config.d), params.data.dtype)
+    return np.empty((count, *batch.shape), batch.dtype)
 
 
 def forward(x, params: ModelParams, training: bool = False, rng=None, slots=None) -> ForwardTrace:
     """Run the full T-step loop over the (N, L, D) batch x. A training pass
     draws dropout masks from rng and keeps the per-step intermediates that
-    backward reads; an eval pass keeps none. The tanh terms go into slots
-    from tanh_slots for at least N samples (fresh if none are given), which
-    a caller may reuse once it is done with the pass. The pass runs in the
-    weights' dtype; its maps alpha and scores m and y are float64 either way."""
+    backward reads; an eval pass keeps none. It runs in the weights' dtype,
+    its tanh terms in slots from tanh_slots for a batch of that dtype and at
+    least N samples (fresh if none are given), which a caller may reuse
+    after the pass; its maps alpha and scores m and y are always float64."""
     cfg = params.config
     x = _features(x, params)
     if slots is None:
-        slots = tanh_slots(len(x), params, training)
+        slots = tanh_slots(x, cfg, training)
     h, c = init_state(x, params)
     keys = attention_keys(x, params)
     alphas, ms, steps = [], [], []
@@ -496,9 +491,9 @@ def load_checkpoint(path):
     The file must hold exactly the bytes save_checkpoint writes for its
     stored config: the parameters of that config, in order, each behind its
     _param_header, with finite values, and nothing after the last one. Its
-    size is checked against the config before the values are read, each
-    through one float64 buffer into params.data; then NonFiniteError names
-    the first parameter with a value beyond the float32 range.
+    size is checked against the config before the values are read, in
+    slices of LOAD_SLICE through one float64 buffer into params.data; after
+    the last, NonFiniteError names the first parameter beyond float32's range.
     """
     with open(path, "rb", buffering=0) as f, np.errstate(over="ignore"):
         size = os.fstat(f.fileno()).st_size
@@ -523,19 +518,25 @@ def load_checkpoint(path):
             raise CheckpointFormatError(f"{path}: {state}: file has {size} bytes, its "
                                         f"config needs {expected}")
         params = ModelParams(config, np.empty(sum(c for _, _, c, _ in layout), np.float32))
-        buffer = np.empty(max(c for _, _, c, _ in layout), "<f8")  # little-endian f64
+        buffer, overflow = np.empty(min(LOAD_SLICE, params.data.size), "<f8"), None
         for name, shape, count, header in layout:
             if f.read(len(header)) != header:
                 raise CheckpointFormatError(f"{path}: the header at offset {pos} is not that "
                                             f"of parameter {name} with shape {shape}")
-            values = buffer[:count]
-            got = f.readinto(values)
-            if got != values.nbytes:
-                raise CheckpointFormatError(f"{path}: short read, {got} of {values.nbytes} "
-                                            f"bytes of parameter {name}")
-            if not np.isfinite(values).all():
-                raise CheckpointFormatError(f"{path}: parameter {name} has non-finite values")
-            params[name].data[...] = values.reshape(shape)  # an overflow gives inf, named below
-            pos += len(header) + got
-    del buffer, values  # the range check's mask, of one byte per value, takes their place
-    return _in_float32_range(params), norm
+            flat = params[name].data.reshape(-1)
+            for i in range(0, count, LOAD_SLICE):
+                cast, values = flat[i : i + LOAD_SLICE], buffer[:min(LOAD_SLICE, count - i)]
+                got = f.readinto(values)
+                if got != values.nbytes:
+                    raise CheckpointFormatError(f"{path}: short read, {8 * i + got} of "
+                                                f"{8 * count} bytes of parameter {name}")
+                cast[...] = values  # an overflow gives inf, as a NaN or inf stays one
+                if not np.isfinite(cast).all():
+                    if not np.isfinite(values).all():
+                        raise CheckpointFormatError(f"{path}: parameter {name} has non-finite "
+                                                    f"values")
+                    overflow = overflow or name
+            pos += len(header) + 8 * count
+    if overflow:
+        raise NonFiniteError(f"parameter {overflow} has values beyond the float32 range")
+    return params, norm

@@ -57,7 +57,6 @@ class TrainConfig:
     batch_size: int = 256
     max_epochs: int = 50
     patience: int = 10
-    seed: int = 0
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
@@ -66,8 +65,6 @@ class TrainConfig:
             raise ValueError("penalty_weight and weight_decay must be >= 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs and patience must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed {self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -181,9 +178,9 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
 
     Each minibatch casts params.float32() once and runs as sub-batches of
     _sub_batch samples, one float32 pass and one backward each from that
-    cast, all in one batch array and one set of slots; the backwards add
-    into the float64 params.grad, from which adam_step updates the float64
-    weights.
+    cast, all in one float32 batch array and the slots made for it before
+    the first minibatch; the backwards add into the float64 params.grad,
+    from which adam_step updates the float64 weights.
     Returns the mean per-sample loss over the epoch. A non-finite sub-batch
     loss, or a weight beyond the float32 range, raises NonFiniteError.
     """
@@ -194,12 +191,10 @@ def train_epoch(train_set, params: mdl.ModelParams, opt_state: AdamState,
     cfg = params.config
     step = _sub_batch(cfg)
     batch_x = np.empty((step, cfg.num_locations, cfg.d), np.float32)
-    slots, total_loss = None, 0.0
+    slots, total_loss = mdl.tanh_slots(batch_x, cfg, training=True), 0.0
     for start in range(0, n, train_cfg.batch_size):
         batch = order[start : start + train_cfg.batch_size]
         twin = params.float32()  # cast once per minibatch
-        if slots is None:
-            slots = mdl.tanh_slots(step, twin, training=True)
         params.grad[...] = 0.0
         for sub in range(0, len(batch), step):
             records = [train_set[int(i)] for i in batch[sub : sub + step]]
@@ -238,7 +233,7 @@ def evaluate(params: mdl.ModelParams, norm: ScoreNorm, records):
     cfg, twin = params.config, params.float32()
     step = _sub_batch(cfg)
     batch = np.empty((step, cfg.num_locations, cfg.d), np.float32)
-    slots = mdl.tanh_slots(step, twin, training=False)
+    slots = mdl.tanh_slots(batch, cfg, training=False)
     preds = np.concatenate([
         _scores(twin, norm, read_features(records[i : i + step], batch), slots)[0]
         for i in range(0, len(records), step)
@@ -264,13 +259,15 @@ def fit(train_set, val_set, norm: ScoreNorm, model_cfg: mdl.ModelConfig,
         train_cfg: TrainConfig, on_best) -> FitResult:
     """Full training loop with early stopping on validation rank correlation.
 
-    Each epoch trains on scores normalized with norm and evaluates the
-    validation set in eval mode; an epoch whose rho is None (undefined) is
-    no improvement. Each improvement calls on_best(params, result) once its
-    record is appended; the params move on with the next epoch, so on_best
-    copies or saves them, as fit keeps no copy and does no I/O. A non-finite
-    loss or prediction, or KeyboardInterrupt, ends the run; stop_reason says
-    what ended it. NoValidEpochError if no epoch had a rho.
+    model_cfg.seed seeds the weight init and, in a second generator, the
+    minibatch order and dropout masks. Each epoch trains on scores
+    normalized with norm and evaluates the validation set in eval mode; an
+    epoch whose rho is None (undefined) is no improvement. Each improvement
+    calls on_best(params, result) once its record is appended; the params
+    move on with the next epoch, so on_best copies or saves them, as fit
+    keeps no copy and does no I/O. A non-finite loss or prediction, or
+    KeyboardInterrupt, ends the run; stop_reason says what ended it.
+    NoValidEpochError if no epoch had a rho.
     Overflows are left to those checks, so numpy prints no warnings.
     """
     if not train_set or not val_set:
@@ -278,7 +275,7 @@ def fit(train_set, val_set, norm: ScoreNorm, model_cfg: mdl.ModelConfig,
     train_cfg.validate()
     params = mdl.init_params(model_cfg)
     opt_state = AdamState(params)
-    rng = np.random.default_rng(train_cfg.seed)
+    rng = np.random.default_rng(model_cfg.seed)
 
     result = FitResult()
     bad_epochs = 0

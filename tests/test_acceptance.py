@@ -67,7 +67,7 @@ def _ablation_run(tmp_path, seed, attention_enabled):
     mcfg = mdl.ModelConfig(w=7, h=7, d=32, b=32, t=3, fm_hidden=32,
                            dropout_rate=0.0, dropout_z=0.0,
                            attention_enabled=attention_enabled, seed=seed)
-    tcfg = trn.TrainConfig(batch_size=32, max_epochs=8, patience=8, seed=seed)
+    tcfg = trn.TrainConfig(batch_size=32, max_epochs=8, patience=8)
     norm = trn.ScoreNorm.from_scores(r.score for r in train_set)
     best = {}
     trn.fit(train_set, val_set, norm, mcfg, tcfg, _keep_best(best))
@@ -115,7 +115,7 @@ def test_overfit_capacity(tmp_path):
         records += dat.load_split(manifest, tmp_path / "manifest.json", split)
     cfg = mdl.ModelConfig(w=2, h=2, d=8, b=8, t=3, fm_hidden=8,
                           dropout_rate=0.0, dropout_z=0.0, seed=0)
-    tcfg = trn.TrainConfig(batch_size=16, penalty_weight=0.0, weight_decay=0.0, seed=0)
+    tcfg = trn.TrainConfig(batch_size=16, penalty_weight=0.0, weight_decay=0.0)
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
     params = mdl.init_params(cfg)
     opt = trn.AdamState(params)
@@ -236,7 +236,7 @@ def test_early_stopping_contract(tmp_path, monkeypatch):
         calls["n"] += 1
         return rho, 0.0
 
-    tcfg = trn.TrainConfig(batch_size=16, max_epochs=4, patience=2, seed=0)
+    tcfg = trn.TrainConfig(batch_size=16, max_epochs=4, patience=2)
     best = {}
     with monkeypatch.context() as m:
         m.setattr(trn, "evaluate", scripted_evaluate)
@@ -250,7 +250,7 @@ def test_early_stopping_contract(tmp_path, monkeypatch):
     def save_best(params, result):
         mdl.save_checkpoint(checkpoint, params, norm=dataclasses.asdict(norm))
 
-    tcfg = trn.TrainConfig(batch_size=16, max_epochs=5, patience=5, seed=0)
+    tcfg = trn.TrainConfig(batch_size=16, max_epochs=5, patience=5)
     result = trn.fit(train_set, val_set, norm, cfg, tcfg, save_best)
     rho, _ = trn.evaluate(mdl.load_checkpoint(checkpoint)[0], norm, val_set)
     ok = ok and abs(rho - result.best_rho) < 1e-12

@@ -675,15 +675,16 @@ def test_removed_flags_are_usage_errors(workspace, tmp_path, monkeypatch, capsys
     ("train", {"weight_decay": float("nan")}, "weight_decay"),
     ("train", {"learning_rate": float("inf")}, "learning_rate"),
     ("model", {"seed": -1}, "seed"),
+    # train.seed is an unknown field: fit draws from the model's seed
     ("train", {"seed": -1}, "seed"),
     # the manifest sets the grid, even to the value it already has
     ("model", {"w": 2}, "'w'"),
     ("model", {"h": 2}, "'h'"),
     ("model", {"d": 8}, "'d'"),
-    # --seed sets both seeds and --no-attention the ablation, even to their defaults
+    # --seed sets the model's seed and --no-attention the ablation, even to their defaults
     ("model", {"seed": 0}, "'seed'"),
     ("model", {"attention_enabled": True}, "'attention_enabled'"),
-    ("train", {"seed": 0}, "'seed'"),
+    ("train", {"seed": 0}, "'seed'"),  # unknown, as above
     # a JSON integer beyond the float range is not finite either
     ("train", {"learning_rate": 10 ** 400}, "learning_rate"),
     ("train", {"penalty_weight": 10 ** 400}, "penalty_weight"),

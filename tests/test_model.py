@@ -722,18 +722,16 @@ def test_checkpoint_save_peak_memory(tmp_path):
 
 
 def test_checkpoint_load_peak_memory(tmp_path):
-    # each parameter is read into one float64 buffer the size of the largest,
-    # checked in a bool mask of its size and cast into the float32
-    # params.data: beside the data and grad vectors the load holds 9 bytes per
-    # value of the largest parameter, and no copy of the file. The range check
-    # after the last parameter, a mask of one byte per weight, runs once the
-    # buffer is freed, and here it takes less.
+    # each parameter is read in slices of 2^15 values into one float64
+    # buffer, each slice checked in bool masks of its size and cast into the
+    # float32 params.data: beside the data and grad vectors the load holds 9
+    # bytes per value of a slice, however large the largest parameter (here
+    # 2^17 values), and no copy of the file or mask of every weight
     params = mdl.ModelParams(tiny_config(w=14, h=14, d=256, b=256, fm_hidden=128))
     path = tmp_path / "model.amwt"
     mdl.save_checkpoint(path, params, norm=NORM)
     peak, _, (loaded, _) = traced_peak(lambda: mdl.load_checkpoint(path))
-    largest = max(p.data.size for p in params.params())
-    assert peak <= loaded.data.nbytes + loaded.grad.nbytes + 9 * largest + 64 * 1024, peak
+    assert peak <= loaded.data.nbytes + loaded.grad.nbytes + 9 * 2 ** 15 + 64 * 1024, peak
 
 
 def test_checkpoint_non_finite_weights_rejected(tmp_path):
@@ -760,6 +758,23 @@ def test_checkpoint_non_finite_value_is_found_before_an_earlier_float32_overflow
     with pytest.raises(mdl.CheckpointFormatError, match="fm_w1.*non-finite") as info:
         mdl.load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+def test_checkpoint_parameters_larger_than_a_read_slice(tmp_path):
+    # lstm_Wi and lstm_Wf hold 256 x (8 + 256) values each: three slices of 2^15
+    params = mdl.init_params(tiny_config(d=8, b=256))
+    path = tmp_path / "model.amwt"
+    mdl.save_checkpoint(path, params, norm=NORM)
+    np.testing.assert_array_equal(mdl.load_checkpoint(path)[0].data,
+                                  params.data.astype(np.float32))
+    params["lstm_Wi"].data.flat[-1] = 1e39  # in the last slice
+    mdl.save_checkpoint(path, params, norm=NORM)
+    with pytest.raises(ag.NonFiniteError, match="lstm_Wi.*float32 range"):
+        mdl.load_checkpoint(path)
+    params["lstm_Wf"].data.flat[2 ** 15 + 1] = np.nan  # in the second slice
+    mdl.save_checkpoint(path, params, norm=NORM)
+    with pytest.raises(mdl.CheckpointFormatError, match="lstm_Wf.*non-finite"):
+        mdl.load_checkpoint(path)
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):

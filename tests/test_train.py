@@ -241,7 +241,7 @@ def test_batch_of_identical_samples_matches_single_sample_gradient(tmp_path):
 def test_train_epoch_deterministic(tmp_path):
     records = tiny_dataset(tmp_path, n=8)
     cfg = tiny_config()
-    tcfg = trn.TrainConfig(batch_size=4, seed=0)
+    tcfg = trn.TrainConfig(batch_size=4)
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
 
     def run():
@@ -280,7 +280,7 @@ def pass_grads(records, params, chunk, monkeypatch):
     monkeypatch.setattr(trn, "read_features", widening_read)
     cfg = params.config
     batch = np.empty((chunk, cfg.num_locations, cfg.d))
-    slots = mdl.tanh_slots(chunk, params, training=True)
+    slots = mdl.tanh_slots(batch, cfg, training=True)
     norm = trn.ScoreNorm.from_scores([r.score for r in records])
     tcfg = trn.TrainConfig(penalty_weight=1e-2)
     params.grad[...] = 0.0
@@ -515,7 +515,7 @@ def test_train_pass_runs_in_float32_beside_float64_grads_and_moments(tmp_path, m
 def test_weights_beyond_the_float32_range_end_the_run_with_the_best_epoch(
         tmp_path, monkeypatch):
     records = tiny_dataset(tmp_path, n=12)
-    tcfg = trn.TrainConfig(batch_size=4, patience=5, max_epochs=5, seed=0)
+    tcfg = trn.TrainConfig(batch_size=4, patience=5, max_epochs=5)
     snapshots = []
 
     def scripted_evaluate(params, norm, val_set):
@@ -599,7 +599,7 @@ def injected_fit(rho_sequence, tmp_path, monkeypatch, patience, max_epochs=None)
     val_set = records[8:]
     cfg = tiny_config()
     tcfg = trn.TrainConfig(batch_size=8, patience=patience,
-                           max_epochs=max_epochs or len(rho_sequence), seed=0)
+                           max_epochs=max_epochs or len(rho_sequence))
     calls = {"n": 0}
 
     def scripted_evaluate(params, norm, records):
@@ -641,8 +641,8 @@ def test_fit_deterministic_report(tmp_path):
     manifest, _ = dat.synth_dataset(30, tmp_path, seed=6, w=2, h=2, d=8)
     train_set = dat.load_split(manifest, tmp_path / "manifest.json", "train")
     val_set = dat.load_split(manifest, tmp_path / "manifest.json", "val")
-    cfg = tiny_config()
-    tcfg = trn.TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=1)
+    cfg = tiny_config(seed=1)
+    tcfg = trn.TrainConfig(batch_size=8, max_epochs=3, patience=3)
     best_a, best_b = {}, {}
     a = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg, keep_best(best_a))
     b = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg, keep_best(best_b))
@@ -651,13 +651,28 @@ def test_fit_deterministic_report(tmp_path):
     np.testing.assert_array_equal(best_a[a.best_epoch], best_b[b.best_epoch])
 
 
+def test_fit_draws_minibatch_order_and_dropout_from_the_model_seed(tmp_path, monkeypatch):
+    states = []
+
+    def recording_epoch(train_set, params, opt_state, train_cfg, norm, rng):
+        states.append(rng.bit_generator.state)
+        return 0.0
+
+    monkeypatch.setattr(trn, "train_epoch", recording_epoch)
+    monkeypatch.setattr(trn, "evaluate", lambda params, norm, records: (0.5, 0.0))
+    records = tiny_dataset(tmp_path, n=12)
+    trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(seed=5),
+            trn.TrainConfig(max_epochs=1), ignore_best)
+    assert states == [np.random.default_rng(5).bit_generator.state]
+
+
 def test_loss_decreases_smoothly_without_attention(tmp_path):
     manifest, _ = dat.synth_dataset(40, tmp_path, seed=7, w=2, h=2, d=8)
     train_set = dat.load_split(manifest, tmp_path / "manifest.json", "train")
     val_set = dat.load_split(manifest, tmp_path / "manifest.json", "val")
     cfg = tiny_config(attention_enabled=False)
     tcfg = trn.TrainConfig(learning_rate=1e-4, penalty_weight=0.0, batch_size=8,
-                           max_epochs=10, patience=10, seed=0)
+                           max_epochs=10, patience=10)
     result = trn.fit(train_set, val_set, train_norm(train_set), cfg, tcfg, ignore_best)
     losses = [e["train_loss"] for e in result.epochs]
     for prev, cur in zip(losses, losses[1:]):
@@ -685,7 +700,7 @@ def test_non_finite_epoch_stops_with_the_best_snapshot(tmp_path, monkeypatch):
         return [0.1, 0.5][len(snapshots) - 1], 0.0
 
     records = tiny_dataset(tmp_path, n=12)
-    tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
+    tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5)
     monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
     best = {}
     result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg,
@@ -704,7 +719,7 @@ def test_fit_keeps_the_best_epoch_across_later_improvements(tmp_path, monkeypatc
         return [0.2, 0.5, 0.1, 0.6, 0.3][len(snapshots) - 1], 0.0
 
     records = tiny_dataset(tmp_path, n=12)
-    tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5, seed=0)
+    tcfg = trn.TrainConfig(batch_size=8, patience=5, max_epochs=5)
     monkeypatch.setattr(trn, "evaluate", scripted_evaluate)
     best = {}
     result = trn.fit(records[:8], records[8:], train_norm(records[:8]), tiny_config(), tcfg,
